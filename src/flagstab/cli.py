@@ -2,7 +2,7 @@
 dispatch onto the library, and deterministic JSON/text output.
 
 Exit codes: 0 computed (even when a verdict is negative), 1 input error,
-2 inconclusive, 3 internal degree-search limit hit.
+2 inconclusive verdict, 3 a `--check` cross-check failed.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .flags import (
     flag_limit,
     flag_stage_weight,
     nrgit_stage_check,
-    standard_grading,
     validate_flag,
 )
 from .geometry import Splitting, flat_limit, flat_limit_oracle, join_ideal, verify_limit_is_join
@@ -201,7 +200,6 @@ class InputDocument:
     beta: list[int] | None = None
     mults: list[int] | None = None
     stage: int | None = None
-    keep: list[str] | None = None
 
 
 def _ints(body: str, line: int) -> list[int]:
@@ -295,8 +293,6 @@ def parse_document(text: str) -> InputDocument:
             doc.mults = _ints(body, lineno)
         elif key == "stage":
             doc.stage = _ints(body, lineno)[0]
-        elif key == "keep":
-            doc.keep = [n.strip() for n in body.split(",") if n.strip()]
         else:
             raise ParseError(f"unknown section '{key}'", lineno, 1)
     return doc
@@ -573,8 +569,6 @@ def _echo(doc: InputDocument) -> dict:
         echo["mults"] = list(doc.mults)
     if doc.stage is not None:
         echo["stage"] = doc.stage
-    if doc.keep is not None:
-        echo["keep"] = list(doc.keep)
     return echo
 
 
@@ -621,10 +615,7 @@ def main(argv=None) -> int:
         out, code = run_file(args.command, args.files[0], args)
         sys.stdout.write(render(out, args.output))
         return code
-    except InternalLimitError as exc:
-        print(f"flagstab: internal limit: {exc}", file=sys.stderr)
-        return 3
-    except FlagLimitMismatch as exc:
+    except (InternalLimitError, FlagLimitMismatch) as exc:
         print(f"flagstab: cross-check failed: {exc}", file=sys.stderr)
         return 3
     except (ParseError, ValueError, DimensionError, OSError) as exc:

@@ -205,7 +205,7 @@ class FlagValidationReport:
     degree: int
     dimensions_ok: bool
     nondegenerate: bool
-    smooth: dict[int, bool | None]  # strata 1..n, three-valued
+    smooth: dict[int, bool]  # strata 1..n
     points_reduced: bool | None  # None: no point certificate supplied
     point_stability: str | None  # verdict, or None when inconclusive
     connectedness: str  # always "unchecked"
@@ -223,7 +223,7 @@ def validate_flag(flag: HyperplanarFlag) -> FlagValidationReport:
     nondeg = all(
         is_nondegenerate(flag.stratum_subring_ideal(i)) for i in range(flag.n + 1)
     )
-    smooth: dict[int, bool | None] = {}
+    smooth: dict[int, bool] = {}
     for i in range(1, flag.n + 1):
         if data[i].dimension != i:
             smooth[i] = False

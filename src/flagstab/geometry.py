@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Echelon, rank_of_rows, row_from_fractions
+from .linalg import rank_of_rows
 from .groebner import (
     buchberger,
     canonical_generators,
@@ -21,17 +21,15 @@ from .groebner import (
     degree_echelon,
     eliminate,
     ideal_equal,
-    poly_to_row,
     restrict_to_variables,
 )
-from .hilbert import InternalLimitError, PreconditionError, hilbert_data, hilbert_function
+from .hilbert import PreconditionError, hilbert_data
 from .poly import (
     GRLEX,
     HomogeneousIdeal,
     OnePS,
     Polynomial,
     initial_part,
-    monomials_of_degree,
     weight_order,
 )
 
@@ -224,14 +222,9 @@ def _poly_det(matrix: list[list[Polynomial]]) -> Polynomial:
     return total
 
 
-def singular_locus_empty(ideal: HomogeneousIdeal, expected_dim: int) -> bool | None:
-    """Jacobian criterion; three-valued.
-
-    True: the ideal of c x c minors plus I cuts out the empty scheme
-    (some graded piece of the quotient vanishes). False: its Hilbert
-    polynomial is nonzero, so the singular locus is nonempty. None: the
-    degree search was inconclusive.
-    """
+def singular_locus_empty(ideal: HomogeneousIdeal, expected_dim: int) -> bool:
+    """Jacobian criterion: True iff I plus the c x c minors of the Jacobian
+    (c the codimension) cuts out the empty scheme."""
     hd = hilbert_data(ideal)
     if hd.dimension != expected_dim:
         raise PreconditionError(
@@ -240,15 +233,7 @@ def singular_locus_empty(ideal: HomogeneousIdeal, expected_dim: int) -> bool | N
     c = (ideal.nvars - 1) - expected_dim
     minors = _jacobian_minors(ideal, c)
     j_ideal = HomogeneousIdeal(ideal.nvars, list(ideal.generators) + minors)
-    bound = 4 * max(sum(g.degree() for g in ideal.generators), 1)
-    for m in range(1, bound + 1):
-        if hilbert_function(j_ideal, m) == 0:
-            return True
-    try:
-        jd = hilbert_data(j_ideal)
-    except InternalLimitError:
-        return None
-    return True if jd.dimension < 0 else False
+    return hilbert_data(j_ideal).dimension < 0
 
 
 def is_nondegenerate(ideal: HomogeneousIdeal) -> bool:

@@ -1,27 +1,30 @@
 """Hilbert functions and polynomials, weighted slice weights, Chow-weight
 extraction and Chow stability of point configurations.
 
-Hilbert data is computed without a priori regularity bounds: the
-candidate polynomial is interpolated on a window of consecutive degrees
-and then verified exactly on further samples, shifting the window until
-verification succeeds or a degree cap is hit.
+Hilbert data comes from one exact kernel: the Hilbert series
+HS(S/I) = N(t)/(1-t)^nvars of the initial monomial ideal of the reduced
+graded-lex Groebner basis (Bayer-Stillman, "Computation of Hilbert
+functions", J. Symbolic Comput. 14, 1992). Cancelling (1-t) factors from
+N gives the dimension, degree, Hilbert polynomial, every value of the
+Hilbert function and the exact stabilization degree; there is no
+degree search and no cap. `hilbert_function` keeps the degreewise
+linear-algebra computation as an independent oracle.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb, factorial
 
 from .linalg import Echelon, row_from_fractions
-from .groebner import buchberger, degree_echelon
+from .groebner import buchberger, degree_echelon, ideal_equal, restrict_to_variables
 from .poly import (
+    GRLEX,
     HomogeneousIdeal,
     Monomial,
     OnePS,
-    Polynomial,
     monomial_divides,
     monomials_of_degree,
     weight_order,
@@ -29,16 +32,11 @@ from .poly import (
 
 
 class InternalLimitError(RuntimeError):
-    """A degreewise search hit its cap without stabilizing."""
+    """Two independent computations of the same object disagreed."""
 
 
 class PreconditionError(ValueError):
     """An operation was called outside its stated hypotheses."""
-
-
-def max_search_degree() -> int:
-    """Cap on internal degree searches; override with FLAGSTAB_MAX_DEGREE."""
-    return int(os.environ.get("FLAGSTAB_MAX_DEGREE", "60"))
 
 
 def hilbert_function(ideal: HomogeneousIdeal, m: int) -> int:
@@ -49,39 +47,108 @@ def hilbert_function(ideal: HomogeneousIdeal, m: int) -> int:
     return comb(m + ideal.nvars - 1, ideal.nvars - 1) - ech.rank
 
 
-def _interpolate(xs: list[int], ys: list[Fraction]) -> tuple[Fraction, ...]:
-    """Newton interpolation; returns coefficients, ascending powers."""
-    n = len(xs)
-    table = [Fraction(y) for y in ys]
-    coeffs = [table[0]]
-    for level in range(1, n):
-        table = [
-            (table[i + 1] - table[i]) / (xs[i + level] - xs[i])
-            for i in range(len(table) - 1)
-        ]
-        coeffs.append(table[0])
-    # expand the Newton form into monomial coefficients
-    poly = [Fraction(0)] * n
-    acc = [Fraction(1)]  # product (t - x_0)...(t - x_{k-1})
-    for k, c in enumerate(coeffs):
-        for i, a in enumerate(acc):
-            poly[i] += c * a
-        if k < n - 1:
-            new = [Fraction(0)] * (len(acc) + 1)
-            for i, a in enumerate(acc):
-                new[i] -= a * xs[k]
-                new[i + 1] += a
-            acc = new
-    while len(poly) > 1 and poly[-1] == 0:
-        poly.pop()
-    return tuple(poly)
-
-
 def eval_poly(coeffs: tuple[Fraction, ...], t: int) -> Fraction:
     total = Fraction(0)
     for c in reversed(coeffs):
         total = total * t + c
     return total
+
+
+# -- the Hilbert-series kernel -----------------------------------------
+#
+# Integer polynomials in t are coefficient lists, ascending powers,
+# without trailing zeros; [] is zero.
+
+
+def _trim(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _add(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * max(len(a), len(b))
+    for i, v in enumerate(a):
+        out[i] += v
+    for i, v in enumerate(b):
+        out[i] += v
+    return _trim(out)
+
+
+def _mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return _trim(out)
+
+
+def _scale(a: list[int], c: int, shift: int = 0) -> list[int]:
+    """c * t^shift * a."""
+    return _trim([0] * shift + [c * v for v in a])
+
+
+def _minimalize(gens) -> tuple[Monomial, ...]:
+    """Minimal generators of a monomial ideal, sorted by (degree, exponents)."""
+    out: list[Monomial] = []
+    for g in sorted(set(gens), key=lambda g: (sum(g), g)):
+        if not any(monomial_divides(h, g) for h in out):
+            out.append(g)
+    return tuple(out)
+
+
+def _monomial_numerator(gens: tuple[Monomial, ...], memo: dict) -> list[int]:
+    """N(t) for S/M, M minimally generated by `gens`, by the recursion
+    K(S/(M+(m))) = K(S/M) - t^deg(m) * K(S/(M:m))."""
+    if not gens:
+        return [1]
+    if gens not in memo:
+        m, rest = gens[-1], gens[:-1]
+        colon = _minimalize(tuple(max(a - b, 0) for a, b in zip(g, m)) for g in rest)
+        memo[gens] = _add(
+            _monomial_numerator(rest, memo),
+            _scale(_monomial_numerator(colon, memo), -1, sum(m)),
+        )
+    return memo[gens]
+
+
+def _numerator(ideal: HomogeneousIdeal) -> list[int]:
+    """N(t) with HS(S/I) = N(t)/(1-t)^nvars, from the leading monomials of
+    the reduced graded-lex Groebner basis."""
+    leads = buchberger(ideal, GRLEX).leading_monomials()
+    return _monomial_numerator(_minimalize(leads), {})
+
+
+def _cancel(num: list[int], pole: int) -> tuple[list[int], int]:
+    """Cancel (1-t) factors from num/(1-t)^pole; the zero series has pole 0."""
+    while pole and num and sum(num) == 0:
+        num = list(accumulate(num))[:-1]  # num = (1-t) * prefix sums
+        pole -= 1
+    return num, pole if num else 0
+
+
+def _coefficient(q: list[int], d: int, m: int) -> int:
+    """Coefficient of t^m in q(t)/(1-t)^d."""
+    if d == 0:
+        return q[m] if m < len(q) else 0
+    return sum(c * comb(m - k + d - 1, d - 1) for k, c in enumerate(q[: m + 1]))
+
+
+def _eventual_polynomial(q: list[int], d: int) -> tuple[Fraction, ...]:
+    """The polynomial in m equal to _coefficient(q, d, m) for m >= len(q) - d:
+    the sum of q_k * binom(m - k + d - 1, d - 1), ascending powers of m."""
+    total = [Fraction(0)] * max(d, 1)
+    for k, c in enumerate(q if d else ()):
+        term = [Fraction(c, factorial(d - 1))]
+        for j in range(1, d):  # times (m - k + j)
+            term = [
+                (term[i - 1] if i else 0) + (j - k) * (term[i] if i < len(term) else 0)
+                for i in range(len(term) + 1)
+            ]
+        total = [a + b for a, b in zip(total, term)]
+    while len(total) > 1 and total[-1] == 0:
+        total.pop()
+    return tuple(total)
 
 
 @dataclass(frozen=True)
@@ -96,76 +163,33 @@ class HilbertData:
         return eval_poly(self.coefficients, t)
 
 
-def _fit_eventual_polynomial(sample, start: int, fit_degree: int, extra: int):
-    """Interpolate on fit_degree+1 consecutive points from `start` and verify
-    on `extra` more, shifting the window until the tail is polynomial."""
-    cap = max_search_degree()
-    values: dict[int, Fraction] = {}
-
-    def get(m: int) -> Fraction:
-        if m not in values:
-            values[m] = Fraction(sample(m))
-        return values[m]
-
-    s = start
-    while s + fit_degree + extra <= cap:
-        xs = list(range(s, s + fit_degree + 1))
-        coeffs = _interpolate(xs, [get(x) for x in xs])
-        check = range(s + fit_degree + 1, s + fit_degree + 1 + extra)
-        if all(eval_poly(coeffs, m) == get(m) for m in check):
-            return coeffs, s, values
-        s += fit_degree + 1
-    raise InternalLimitError(
-        f"no polynomial tail found below degree cap {cap} (window start {start})"
-    )
-
-
 def hilbert_data(ideal: HomogeneousIdeal) -> HilbertData:
-    """Hilbert function samples, Hilbert polynomial, dimension and degree."""
-    n_extra = 2 * (ideal.nvars + 1)
+    """Hilbert polynomial, dimension, degree, stabilization degree (1 + the
+    largest m with HF(m) != HP(m), or 0) and the Hilbert function on a
+    window of degrees reaching past stabilization."""
+    q, d = _cancel(_numerator(ideal), ideal.nvars)
+    coeffs = _eventual_polynomial(q, d)
+    stab = next(
+        (
+            m + 1
+            for m in range(len(q) - d - 1, -1, -1)
+            if _coefficient(q, d, m) != eval_poly(coeffs, m)
+        ),
+        0,
+    )
+    # the reported window: from a generator-degree bound (or just below
+    # stabilization) to 3*nvars + 1 past the first step start + k*nvars
+    # at or beyond stabilization
+    n = ideal.nvars
     gen_degs = [g.degree() for g in ideal.generators]
     start = max(sum(gen_degs), 2 * max(gen_degs, default=0), 1)
-    coeffs, s, values = _fit_eventual_polynomial(
-        lambda m: hilbert_function(ideal, m), start, ideal.nvars - 1, n_extra
-    )
-    if coeffs == (Fraction(0),):
-        dim, deg = -1, 0
-    else:
-        dim = len(coeffs) - 1
-        lead = coeffs[-1] * factorial(dim)
-        if lead.denominator != 1 or lead <= 0:
-            raise InternalLimitError(f"leading coefficient {coeffs[-1]} is not d/dim!")
-        deg = int(lead)
-    # walk the stabilization point down as far as the samples allow
-    stab = s
-    m = s - 1
-    while m >= 0:
-        hf = values.get(m)
-        if hf is None:
-            hf = Fraction(hilbert_function(ideal, m))
-            values[m] = hf
-        if hf != eval_poly(coeffs, m):
-            break
-        stab = m
-        m -= 1
-    hf_map = {m: int(v) for m, v in sorted(values.items())}
-    return HilbertData(hf_map, coeffs, stab, dim, deg)
+    s = start + max(0, -((start - stab) // n)) * n
+    window = range(min(start, max(stab - 1, 0)), s + 3 * n + 2)
+    hf = {m: _coefficient(q, d, m) for m in window}
+    return HilbertData(hf, coeffs, stab, d - 1, sum(q) if d else 0)
 
 
 # -- weighted slice weights and Chow weights ---------------------------
-
-
-def standard_monomials(
-    ideal: HomogeneousIdeal, lam: OnePS, m: int
-) -> list[Monomial]:
-    """Degree-m monomials outside the initial ideal for the lam-refined order."""
-    gb = buchberger(ideal, weight_order(lam))
-    leads = gb.leading_monomials()
-    return [
-        mono
-        for mono in monomials_of_degree(ideal.nvars, m)
-        if not any(monomial_divides(l, mono) for l in leads)
-    ]
 
 
 def weighted_slice_weight(
@@ -200,8 +224,6 @@ def _weight_block_factors(
     living within single weight spaces is the (degreewise) tensor
     product of these factors.
     """
-    from .groebner import restrict_to_variables
-
     factors = []
     for c in sorted(set(lam.weights), reverse=True):
         block = [i for i, w in enumerate(lam.weights) if w == c]
@@ -212,83 +234,59 @@ def _weight_block_factors(
     return factors
 
 
-def block_slice_weight(ideal: HomogeneousIdeal, lam: OnePS, m: int) -> int:
-    """Slice weight computed blockwise through the tensor decomposition.
+def chow_weight_numeric(ideal: HomogeneousIdeal, lam: OnePS) -> Fraction:
+    """Chow weight a_X of a lam-fixed subscheme, from the blockwise slice
+    weights.
 
     The degree-m slice splits over weight-space degree distributions
-    (i_1, ..., i_s); each nonzero component contributes the sum of its
-    factors' weights, a factor of block degree i and weight c
-    contributing -i*c*h(i) with h the factor's Hilbert function. For a
-    subscheme in a single weight space this is -m*c*h(m); for joins it
-    reproduces the closed-form Chow weights.
-    """
-    return _block_weight_fn(ideal, lam)(m)
-
-
-def _block_weight_fn(ideal: HomogeneousIdeal, lam: OnePS):
-    """Closure computing block_slice_weight with factor-wise caching."""
-    factors = _weight_block_factors(ideal, lam)
-    cache: dict[tuple[int, int], int] = {}
-
-    def h(t: int, i: int) -> int:
-        if (t, i) not in cache:
-            cache[(t, i)] = hilbert_function(factors[t][1], i)
-        return cache[(t, i)]
-
-    def weight(m: int) -> int:
-        total = 0
-        dim_check = 0
-
-        def rec(t: int, rem: int, acc_w: int, acc_dim: int) -> None:
-            nonlocal total, dim_check
-            c = factors[t][0]
-            if t == len(factors) - 1:
-                ht = h(t, rem)
-                if ht:
-                    total += acc_w + rem * c * ht
-                    dim_check += acc_dim * ht
-                return
-            for i in range(rem + 1):
-                ht = h(t, i)
-                if ht:
-                    rec(t + 1, rem - i, acc_w + i * c * ht, acc_dim * ht)
-
-        rec(0, m, 0, 1)
-        if dim_check != hilbert_function(ideal, m):
-            raise PreconditionError(
-                "ideal is not cut out within the weight spaces of the 1PS"
-            )
-        return -total
-
-    return weight
-
-
-def chow_weight_numeric(ideal: HomogeneousIdeal, lam: OnePS) -> Fraction:
-    """Chow weight a_X of a lam-fixed subscheme, from the weighted slices.
-
-    Fits the degree-(n+1) blockwise weight polynomial past stabilization
-    and returns -(n+1)! times its leading coefficient.
+    (i_1, ..., i_s); each distribution on which every factor's Hilbert
+    function h_t is nonzero contributes sum_t i_t*c_t*h_t(i_t), and the
+    slice weight is minus the total. In series form the total is
+    sum_t c_t * t*G_t'(t) * prod_{s != t} E_s(t), with G_t the factor's
+    Hilbert series and E_s the series of the indicator h_s(i) != 0. The
+    weight polynomial has degree at most n+1, and a_X is -(n+1)! times its
+    coefficient of m^(n+1): the numerator of the total's series over
+    (1-t)^(n+2), evaluated at t = 1.
     """
     from .geometry import flat_limit  # local import, geometry depends on us
 
     if not lam.sl_normalized:
         raise PreconditionError("weight vector must sum to zero")
-    if flat_limit(ideal, lam) != ideal:
+    if not ideal_equal(flat_limit(ideal, lam), ideal):
         raise PreconditionError("ideal is not fixed by the weight vector")
-    hd = hilbert_data(ideal)
-    n = hd.dimension
+    num = _numerator(ideal)
+    n = _cancel(num, ideal.nvars)[1] - 1
     if n < 0:
         raise PreconditionError("empty subscheme has no Chow weight")
-    coeffs, _, _ = _fit_eventual_polynomial(
-        _block_weight_fn(ideal, lam),
-        hd.stabilization_degree,
-        n + 1,
-        2 * (ideal.nvars + 1),
-    )
-    if len(coeffs) - 1 > n + 1:
-        raise InternalLimitError("weight series grows faster than degree n+1")
-    lead = coeffs[n + 1] if len(coeffs) > n + 1 else Fraction(0)
-    return -factorial(n + 1) * lead
+    factors = [(c, sub.nvars, _numerator(sub)) for c, sub in _weight_block_factors(ideal, lam)]
+    product = [1]
+    for _, _, num_t in factors:
+        product = _mul(product, num_t)
+    if product != num:
+        raise PreconditionError(
+            "ideal is not cut out within the weight spaces of the 1PS"
+        )
+    # E_s = e_s/(1-t): e_s = 1 for a nonempty factor, 1 - t^(k+1) when its
+    # Hilbert function vanishes after degree k
+    indicators = []
+    for _, k, num_t in factors:
+        q, d = _cancel(num_t, k)
+        indicators.append([1] if d else _add([1], [0] * len(q) + [-1]))
+    # t*G_t' = t*(N_t'*(1-t) + k_t*N_t)/(1-t)^(k_t+1), so term t is over
+    # (1-t)^(k_t + len(factors)); bring every term to (1-t)^(nvars + len(factors))
+    total: list[int] = []
+    for t, (c, k, num_t) in enumerate(factors):
+        deriv = [i * v for i, v in enumerate(num_t)][1:]
+        term = _scale(_add(_mul(deriv, [1, -1]), _scale(num_t, k)), c, 1)
+        for s, e in enumerate(indicators):
+            if s != t:
+                term = _mul(term, e)
+        for _ in range(ideal.nvars - k):
+            term = _mul(term, [1, -1])
+        total = _add(total, term)
+    # the pole order is at most n+2, and below it the weight is 0
+    q, d = _cancel(total, ideal.nvars + len(factors))
+    return Fraction(sum(q)) if d == n + 2 else Fraction(0)
 
 
 def chow_weight_single_space(b: int, d: int, r: int) -> int:

@@ -1,6 +1,7 @@
 """Hilbert data, weighted slice weights, Chow weights and point stability."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -18,7 +19,7 @@ from flagstab import (
 )
 from flagstab.hilbert import PointConfiguration, PreconditionError, eval_poly
 
-from conftest import V, twisted_cubic
+from conftest import V, corpus_ideals, twisted_cubic
 
 
 CONIC = HomogeneousIdeal(3, [V(3, 0) * V(3, 2) - V(3, 1) ** 2])
@@ -63,6 +64,36 @@ class TestHilbertData:
         hd = hilbert_data(CONIC)
         for m in range(hd.stabilization_degree, hd.stabilization_degree + 4):
             assert hilbert_function(CONIC, m) == eval_poly(hd.coefficients, m)
+
+    def test_complete_intersection_in_p4(self):
+        # a hyperplane and a quadric: a quadric surface, HP = (m + 1)^2
+        ideal = dict(corpus_ideals())["random-ci-4"]
+        hd = hilbert_data(ideal)
+        assert hd.coefficients == (Fraction(1), Fraction(2), Fraction(1))
+        assert (hd.dimension, hd.degree, hd.stabilization_degree) == (2, 2, 0)
+        for m in range(5):
+            assert hd.hilbert_function[m] == hilbert_function(ideal, m)
+
+    def test_rational_normal_quartic(self):
+        x = [V(5, i) for i in range(5)]
+        minors = [x[i] * x[j + 1] - x[j] * x[i + 1] for i, j in combinations(range(4), 2)]
+        hd = hilbert_data(HomogeneousIdeal(5, minors))
+        assert hd.coefficients == (Fraction(1), Fraction(4))  # 4m + 1
+        assert (hd.dimension, hd.degree, hd.stabilization_degree) == (1, 4, 0)
+        assert hd.hilbert_function[3] == 13
+
+    def test_series_matches_echelon_oracle_on_corpus(self):
+        for name, ideal in corpus_ideals():
+            hd = hilbert_data(ideal)
+            stab = hd.stabilization_degree
+            for m in range(9):
+                hf = hilbert_function(ideal, m)
+                if m in hd.hilbert_function:
+                    assert hd.hilbert_function[m] == hf, (name, m)
+                if m >= stab:
+                    assert hd.polynomial_value(m) == hf, (name, m)
+            if stab:
+                assert hd.hilbert_function[stab - 1] != hd.polynomial_value(stab - 1), name
 
 
 class TestWeightedSliceWeight:
@@ -109,6 +140,29 @@ class TestChowWeightNumeric:
         conic = HomogeneousIdeal(3, [V(3, 0) * V(3, 2) - V(3, 1) ** 2])
         with pytest.raises(PreconditionError):
             chow_weight_numeric(conic, OnePS((2, -1, -1)))
+
+    def test_fixed_ideal_with_redundant_generators(self):
+        x, y = V(3, 0), V(3, 1)
+        lam = OnePS((1, 0, -1))
+        assert chow_weight_numeric(HomogeneousIdeal(3, [x, x + y]), lam) == -1
+        assert chow_weight_numeric(HomogeneousIdeal(3, [x, y]), lam) == -1
+
+    def test_requires_cut_out_within_weight_spaces(self):
+        # u*a is fixed, but is neither u-only nor (a, b)-only
+        u, a = V(3, 0), V(3, 1)
+        with pytest.raises(PreconditionError, match="within the weight spaces"):
+            chow_weight_numeric(HomogeneousIdeal(3, [u * a]), OnePS((2, -1, -1)))
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="blockwise slice weight vanishes when dim Y >= 1 and dim P(U) >= 1",
+    )
+    def test_join_of_line_with_line(self):
+        # a line in P(W), dim W = 3, joined with P(U), dim U = 2
+        ideal = HomogeneousIdeal(5, [V(5, 4)])
+        closed = chow_weight_join(3, -2, 1, 1, 1)
+        assert closed == 2
+        assert chow_weight_numeric(ideal, OnePS((3, 3, -2, -2, -2))) == closed
 
 
 class TestClosedForms:

@@ -1,6 +1,7 @@
 """Graded 1PS block bookkeeping and unipotent Lie stabilizers."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -13,9 +14,11 @@ from flagstab import (
     Polynomial,
     block_profile,
     configuration_unipotent_stabilizer_dim,
+    contains_oracle,
     lie_unipotent_stabilizer_dim,
     stage_data,
 )
+from flagstab.linalg import rank_of_rows
 
 from conftest import V
 
@@ -162,6 +165,29 @@ class TestLieStabilizer:
     def test_stage_out_of_range(self):
         with pytest.raises(ValueError):
             lie_unipotent_stabilizer_dim(HomogeneousIdeal(3, []), G21, 2)
+
+    def test_mixed_degree_generators_match_brute_force(self):
+        # the degree-2 generator's residuals must be a full linear normal
+        # form modulo I_2, or the constraints come out too strict
+        x0, x1, x2, x3 = (V(4, i) for i in range(4))
+        ideal = HomogeneousIdeal(4, [x2 - x3, x0 + x1, x0 * x1 - x1 * x2])
+        g = GradedOnePS.standard((2, 2))
+        entries = [(r, c) for r in (0, 1) for c in (2, 3)]  # Lie U^[1]
+        fixing = []
+        for nu in product(range(-2, 3), repeat=len(entries)):
+            if all(
+                contains_oracle(
+                    ideal,
+                    sum(
+                        (v * V(4, c) * f.partial(r) for v, (r, c) in zip(nu, entries)),
+                        Polynomial.zero(4),
+                    ),
+                )
+                for f in ideal.generators
+            ):
+                fixing.append(dict(enumerate(nu)))
+        assert rank_of_rows(fixing) == 2
+        assert configuration_unipotent_stabilizer_dim([ideal], g, 1) == 2
 
 
 @settings(deadline=None, max_examples=50)
