@@ -12,6 +12,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 
 from . import __version__
 from .flags import (
@@ -59,6 +60,14 @@ COMMANDS = (
     "flag-check",
     "admissible",
 )
+
+
+# Caps on input size: past them an input is refused as an input error
+# rather than left to exhaust memory in the parser or the computations.
+MAX_VARIABLES = 32
+MAX_EXPONENT = 64
+MAX_DEGREE = 64  # total degree of a generator and of every product in it
+MAX_TERMS = 10_000  # terms of a product, bounded before it is expanded
 
 
 class ParseError(ValueError):
@@ -147,6 +156,12 @@ def parse_polynomial(text: str, names: list[str], line: int = 1, col0: int = 1) 
             return Polynomial.variable(nvars, index[name])
         toks.error("expected a number, variable or '('")
 
+    def check_size(degree: int, terms: int) -> None:
+        if degree > MAX_DEGREE:
+            toks.error(f"degree {degree} exceeds the cap of {MAX_DEGREE}")
+        if terms > MAX_TERMS:
+            toks.error(f"a product of more than {MAX_TERMS} terms")
+
     def factor() -> Polynomial:
         sign = 1
         while toks.peek() == "-":
@@ -155,14 +170,20 @@ def parse_polynomial(text: str, names: list[str], line: int = 1, col0: int = 1) 
         base = atom()
         if toks.peek() == "^":
             toks.take()
-            base = base ** toks.integer()
+            e = toks.integer()
+            if e > MAX_EXPONENT:
+                toks.error(f"exponent {e} exceeds the cap of {MAX_EXPONENT}")
+            check_size(base.degree() * e, comb(len(base.terms) + e, e))
+            base = base ** e
         return base if sign > 0 else -base
 
     def term() -> Polynomial:
         out = factor()
         while toks.peek() == "*":
             toks.take()
-            out = out * factor()
+            f = factor()
+            check_size(out.degree() + f.degree(), len(out.terms) * len(f.terms))
+            out = out * f
         return out
 
     def expr() -> Polynomial:
@@ -236,6 +257,8 @@ def parse_document(text: str) -> InputDocument:
                 raise ParseError("empty ring declaration", lineno, 1)
             if len(set(names)) != len(names):
                 raise ParseError("repeated variable name", lineno, 1)
+            if len(names) > MAX_VARIABLES:
+                raise ParseError(f"more than {MAX_VARIABLES} variables", lineno, 1)
             doc.names = names
             continue
         if ":" not in stripped:

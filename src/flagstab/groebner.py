@@ -22,6 +22,7 @@ from .poly import (
     monomial_div,
     monomial_divides,
     monomial_lcm,
+    monomial_mul,
     monomials_of_degree,
 )
 
@@ -33,9 +34,13 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder = GRLEX) -> Poly
     mf, cf = f.leading(order)
     mg, cg = g.leading(order)
     l = monomial_lcm(mf, mg)
-    uf = Polynomial.from_monomial(monomial_div(l, mf), 1 / cf)
-    ug = Polynomial.from_monomial(monomial_div(l, mg), 1 / cg)
-    return uf * f - ug * g
+    terms: dict[Monomial, Fraction] = {}
+    for p, mp, q in ((f, mf, 1 / cf), (g, mg, -1 / cg)):
+        shift = monomial_div(l, mp)
+        for m, c in p.terms.items():
+            t = monomial_mul(m, shift)
+            terms[t] = terms.get(t, 0) + q * c
+    return Polynomial(f.nvars, terms)
 
 
 def normal_form(f: Polynomial, basis, order: TermOrder = GRLEX) -> Polynomial:
@@ -44,21 +49,31 @@ def normal_form(f: Polynomial, basis, order: TermOrder = GRLEX) -> Polynomial:
     No term of the result is divisible by any basis leading monomial,
     and f minus the result lies in the ideal generated by the basis.
     """
-    basis = [b for b in basis if not b.is_zero]
-    leads = [b.leading(order) for b in basis]
-    remainder = Polynomial.zero(f.nvars)
-    work = f
-    while not work.is_zero:
-        m, c = work.leading(order)
-        for b, (mb, cb) in zip(basis, leads):
+    divisors = []
+    for b in basis:
+        if not b.is_zero:
+            mb, cb = b.leading(order)
+            divisors.append((mb, cb, [t for t in b.terms.items() if t[0] != mb]))
+    work = dict(f.terms)
+    remainder: dict[Monomial, Fraction] = {}
+    while work:
+        m = max(work, key=order.key)
+        c = work.pop(m)
+        for mb, cb, tail in divisors:
             if monomial_divides(mb, m):
-                work = work - Polynomial.from_monomial(monomial_div(m, mb), c / cb) * b
+                q = c / cb
+                shift = monomial_div(m, mb)
+                for mt, ct in tail:
+                    t = monomial_mul(mt, shift)
+                    v = work.get(t, 0) - q * ct
+                    if v:
+                        work[t] = v
+                    else:
+                        del work[t]
                 break
         else:
-            t = Polynomial.from_monomial(m, c)
-            remainder = remainder + t
-            work = work - t
-    return remainder
+            remainder[m] = c
+    return Polynomial(f.nvars, remainder)
 
 
 @dataclass(frozen=True)
@@ -80,51 +95,66 @@ class GroebnerBasis:
 def buchberger(ideal: HomogeneousIdeal, order: TermOrder = GRLEX) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal under the given order.
 
-    Pairs are processed by ascending lcm degree (normal strategy); no
-    pair-pruning criteria are applied.
+    Pairs are pruned by the Gebauer-Moeller criteria ("On an installation
+    of Buchberger's algorithm", J. Symbolic Comput. 6, 1988) and reduced
+    by ascending lcm degree; on homogeneous input that is the sugar
+    strategy.
     """
-    basis: list[Polynomial] = [g.monic(order) for g in ideal.generators]
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i)}
+    basis: list[Polynomial] = []
+    leads: list[Monomial] = []
+    pairs: list[tuple[int, Monomial, int, int]] = []  # (deg lcm, lcm, i, j), largest first
+    for g in ideal.generators:
+        _add_to_basis(g.monic(order), basis, leads, pairs, order)
     while pairs:
-        i, j = min(
-            pairs,
-            key=lambda p: (
-                sum(
-                    monomial_lcm(
-                        basis[p[0]].leading(order)[0], basis[p[1]].leading(order)[0]
-                    )
-                ),
-                p,
-            ),
-        )
-        pairs.remove((i, j))
+        _, _, i, j = pairs.pop()
         s = normal_form(s_polynomial(basis[i], basis[j], order), basis, order)
         if not s.is_zero:
-            basis.append(s.monic(order))
-            k = len(basis) - 1
-            pairs.update((k, t) for t in range(k))
-    return GroebnerBasis(tuple(_interreduce(basis, order)), order, reduced=True)
+            _add_to_basis(s.monic(order), basis, leads, pairs, order)
+    return GroebnerBasis(tuple(_interreduce(basis, leads, order)), order, reduced=True)
 
 
-def _interreduce(basis: list[Polynomial], order: TermOrder) -> list[Polynomial]:
+def _add_to_basis(g: Polynomial, basis: list, leads: list, pairs: list, order: TermOrder) -> None:
+    """Append g to the basis and apply the Gebauer-Moeller update to the pairs."""
+    k = len(basis)
+    lk = g.leading(order)[0]
+    basis.append(g)
+    leads.append(lk)
+    # old pair (i, j) whose lcm lead(k) divides, unless lcm(i, k) or
+    # lcm(j, k) equals lcm(i, j): (i, k) and (j, k) cover it
+    pairs[:] = [
+        (d, l, i, j)
+        for d, l, i, j in pairs
+        if not monomial_divides(lk, l)
+        or monomial_lcm(leads[i], lk) == l
+        or monomial_lcm(leads[j], lk) == l
+    ]
+    new = [monomial_lcm(leads[i], lk) for i in range(k)]
+    groups: dict[Monomial, list[int]] = {}
+    for i, l in enumerate(new):
+        # drop (i, k) when another new pair's lcm properly divides its lcm
+        if not any(m != l and monomial_divides(m, l) for m in new):
+            groups.setdefault(l, []).append(i)
+    for l, members in groups.items():
+        d = sum(l)
+        # one pair per lcm; none when a pair of the group has coprime leads
+        if all(d < sum(leads[i]) + sum(lk) for i in members):
+            pairs.append((d, l, members[0], k))
+    pairs.sort(reverse=True)
+
+
+def _interreduce(
+    basis: list[Polynomial], leads: list[Monomial], order: TermOrder
+) -> list[Polynomial]:
     # drop members whose lead is divisible by another lead
-    kept: list[Polynomial] = []
-    for i, g in enumerate(basis):
-        mg = g.leading(order)[0]
-        redundant = False
-        for j, h in enumerate(basis):
-            if i == j:
-                continue
-            mh = h.leading(order)[0]
-            if monomial_divides(mh, mg) and (mh != mg or j < i):
-                redundant = True
-                break
-        if not redundant:
-            kept.append(g)
-    out = []
-    for i, g in enumerate(kept):
-        others = kept[:i] + kept[i + 1 :]
-        out.append(normal_form(g, others, order).monic(order))
+    kept = [
+        g
+        for i, (g, mg) in enumerate(zip(basis, leads))
+        if not any(
+            j != i and monomial_divides(mh, mg) and (mh != mg or j < i)
+            for j, mh in enumerate(leads)
+        )
+    ]
+    out = [normal_form(g, kept[:i] + kept[i + 1 :], order).monic(order) for i, g in enumerate(kept)]
     out.sort(key=lambda g: (g.degree(), order.key(g.leading(order)[0])))
     return out
 

@@ -4,7 +4,16 @@ import json
 
 import pytest
 
-from flagstab.cli import ParseError, main, parse_document, parse_polynomial
+from flagstab.cli import (
+    MAX_DEGREE,
+    MAX_EXPONENT,
+    MAX_TERMS,
+    MAX_VARIABLES,
+    ParseError,
+    main,
+    parse_document,
+    parse_polynomial,
+)
 
 from conftest import V
 
@@ -65,6 +74,41 @@ class TestParseDocument:
     def test_ideal_before_ring(self):
         with pytest.raises(ParseError):
             parse_document("ideal: x\n")
+
+
+class TestInputCaps:
+    """Oversized input is refused while parsing, before anything expands."""
+
+    def test_exponent_cap(self):
+        assert parse_polynomial(f"x^{MAX_EXPONENT}", ["x"]).degree() == MAX_EXPONENT
+        with pytest.raises(ParseError, match="exponent"):
+            parse_polynomial("x^100000000", ["x", "y"])
+        with pytest.raises(ParseError, match="exponent"):
+            parse_polynomial("2^100000000*x", ["x"])
+
+    def test_generator_degree_cap(self):
+        half = MAX_DEGREE // 2
+        with pytest.raises(ParseError, match="degree"):
+            parse_polynomial(f"x^{half}*y^{half}*x", ["x", "y"])
+        with pytest.raises(ParseError, match="degree"):
+            parse_polynomial(f"(x*y)^{half + 1}", ["x", "y"])
+
+    def test_term_cap(self):
+        names = [f"x{i}" for i in range(8)]
+        with pytest.raises(ParseError, match=str(MAX_TERMS)):
+            parse_polynomial(f"({' + '.join(names)})^{MAX_EXPONENT}", names)
+
+    def test_variable_cap(self):
+        names = ", ".join(f"x{i}" for i in range(MAX_VARIABLES + 1))
+        with pytest.raises(ParseError, match="variables"):
+            parse_document(f"ring {names}\nideal: x0\n")
+
+    def test_cli_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "huge.txt"
+        path.write_text("ring x, y\nideal: x^100000000\n")
+        code, out, err = run(capsys, "hilbert", str(path))
+        assert (code, out) == (1, "")
+        assert "exceeds the cap" in err
 
 
 class TestCommands:

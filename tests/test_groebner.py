@@ -1,5 +1,8 @@
 """Buchberger, normal forms, elimination and the membership oracle."""
 
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +12,7 @@ from flagstab import (
     HomogeneousIdeal,
     OnePS,
     Polynomial,
+    TermOrder,
     buchberger,
     contains_oracle,
     degree_dimension,
@@ -106,6 +110,77 @@ class TestBuchberger:
         a = buchberger(twisted_cubic())
         b = buchberger(twisted_cubic())
         assert a.basis == b.basis
+
+
+def _random_form(rng: random.Random, nvars: int, degree: int, nterms: int) -> Polynomial:
+    monos = monomials_of_degree(nvars, degree)
+    picked = rng.sample(monos, min(nterms, len(monos)))
+    return Polynomial(nvars, {m: rng.choice([-3, -2, -1, 1, 2, 3]) for m in picked})
+
+
+def _random_ideals() -> list[HomogeneousIdeal]:
+    """Three 5-term quadrics in 4 variables, and 3-variable ideals of
+    mixed degree, from a fixed seed."""
+    rng = random.Random(1988)
+    out = [
+        HomogeneousIdeal(4, [_random_form(rng, 4, 2, 5) for _ in range(3)])
+        for _ in range(10)
+    ]
+    for degrees in [(1, 2), (2, 3), (1, 3, 3), (2, 2, 3), (2, 3, 3), (1, 2, 4)]:
+        out.append(HomogeneousIdeal(3, [_random_form(rng, 3, d, 3) for d in degrees]))
+    return out
+
+
+RANDOM_IDEALS = _random_ideals()
+RANDOM_IDS = [f"{ideal.nvars}vars-{k}" for k, ideal in enumerate(RANDOM_IDEALS)]
+
+
+class TestAgainstIndependentChecks:
+    """Pair pruning must not change the basis: GRLEX bases are compared
+    with sympy; weight and elimination orders are checked by Buchberger's
+    criterion over all pairs of the returned basis."""
+
+    @pytest.mark.parametrize("ideal", RANDOM_IDEALS, ids=RANDOM_IDS)
+    def test_grlex_basis_matches_sympy(self, ideal):
+        sympy = pytest.importorskip("sympy")
+        xs = sympy.symbols(f"x0:{ideal.nvars}")
+        gens = [
+            sympy.Poly.from_dict(
+                {m: sympy.Rational(c.numerator, c.denominator) for m, c in g.terms.items()},
+                *xs,
+            ).as_expr()
+            for g in ideal.generators
+        ]
+        reference = sympy.groebner(gens, *xs, order="grlex", domain="QQ")
+        want = {
+            Polynomial(
+                ideal.nvars,
+                {
+                    m: Fraction(int(c.numerator), int(c.denominator))
+                    for m, c in p.as_dict(native=True).items()
+                },
+            ).monic(GRLEX)
+            for p in reference.polys
+        }
+        assert {g.monic(GRLEX) for g in buchberger(ideal).basis} == want
+
+    @pytest.mark.parametrize("ideal", RANDOM_IDEALS, ids=RANDOM_IDS)
+    def test_weight_and_block_orders_satisfy_buchberger_criterion(self, ideal):
+        n = ideal.nvars
+        weights = (3,) + (-1,) * (n - 1)
+        orders = [
+            weight_order(OnePS(weights)),
+            weight_order(OnePS(weights[::-1])),
+            TermOrder(dropped=(0,)),
+            TermOrder(weights=weights, dropped=(n - 2, n - 1)),
+        ]
+        for order in orders:
+            basis = buchberger(ideal, order).basis
+            for i, f in enumerate(basis):
+                for g in basis[:i]:
+                    assert normal_form(s_polynomial(f, g, order), basis, order).is_zero
+            for g in ideal.generators:
+                assert normal_form(g, basis, order).is_zero
 
 
 class TestEliminate:

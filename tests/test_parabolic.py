@@ -16,6 +16,7 @@ from flagstab import (
     configuration_unipotent_stabilizer_dim,
     contains_oracle,
     lie_unipotent_stabilizer_dim,
+    monomials_of_degree,
     stage_data,
 )
 from flagstab.linalg import rank_of_rows
@@ -172,22 +173,66 @@ class TestLieStabilizer:
         x0, x1, x2, x3 = (V(4, i) for i in range(4))
         ideal = HomogeneousIdeal(4, [x2 - x3, x0 + x1, x0 * x1 - x1 * x2])
         g = GradedOnePS.standard((2, 2))
-        entries = [(r, c) for r in (0, 1) for c in (2, 3)]  # Lie U^[1]
-        fixing = []
-        for nu in product(range(-2, 3), repeat=len(entries)):
-            if all(
-                contains_oracle(
-                    ideal,
-                    sum(
-                        (v * V(4, c) * f.partial(r) for v, (r, c) in zip(nu, entries)),
-                        Polynomial.zero(4),
-                    ),
-                )
-                for f in ideal.generators
-            ):
-                fixing.append(dict(enumerate(nu)))
-        assert rank_of_rows(fixing) == 2
+        assert _brute_force_stabilizer_dim(ideal, g, 1) == 2
         assert configuration_unipotent_stabilizer_dim([ideal], g, 1) == 2
+
+
+def _brute_force_stabilizer_dim(ideal: HomogeneousIdeal, g: GradedOnePS, j: int) -> int:
+    """Rank of the nu in {-2..2}^entries of Lie U^[j] whose derivation
+    sum nu_rc * x_c * d/dx_r maps every generator into the ideal."""
+    n = g.size
+    blk = [g.block_of(k) for k in range(n)]
+    entries = [(r, c) for r in range(n) for c in range(n) if blk[r] < j <= blk[c]]
+    fixing = []
+    for nu in product(range(-2, 3), repeat=len(entries)):
+        if all(
+            contains_oracle(
+                ideal,
+                sum(
+                    (v * V(n, c) * f.partial(r) for v, (r, c) in zip(nu, entries)),
+                    Polynomial.zero(n),
+                ),
+            )
+            for f in ideal.generators
+        ):
+            fixing.append(dict(enumerate(nu)))
+    return rank_of_rows(fixing)
+
+
+@st.composite
+def _graded_ideals(draw):
+    """A grading of 3 or 4 variables, a stage, and an ideal with a
+    linear and a quadric generator (a third of either degree optional).
+
+    Coefficients are +-1: the brute force sees a stabilizer direction only
+    if it has entries in -2..2, and larger coefficients make directions
+    that do not, as (3, 1) for (x0 + x1 + x2, x0 - 2*x1, x0^2) at mults
+    (1, 2), where the library's 1 is right and the grid finds 0.
+    """
+    mults = draw(st.sampled_from([(2, 1), (1, 2), (1, 1, 1), (3, 1), (1, 3), (2, 2), (2, 1, 1)]))
+    g = GradedOnePS.standard(mults)
+    j = draw(st.integers(1, g.ell - 1))
+    gens = []
+    for d in [1, 2] + draw(st.lists(st.integers(1, 2), max_size=1)):
+        terms = draw(
+            st.dictionaries(
+                st.sampled_from(monomials_of_degree(g.size, d)),
+                st.sampled_from([-1, 1]),
+                min_size=1,
+                max_size=3,
+            )
+        )
+        gens.append(Polynomial(g.size, terms))
+    return HomogeneousIdeal(g.size, gens), g, j
+
+
+@settings(deadline=None, max_examples=12)
+@given(case=_graded_ideals())
+def test_unipotent_stabilizer_matches_brute_force(case):
+    ideal, g, j = case
+    assert configuration_unipotent_stabilizer_dim([ideal], g, j) == _brute_force_stabilizer_dim(
+        ideal, g, j
+    )
 
 
 @settings(deadline=None, max_examples=50)
