@@ -23,7 +23,7 @@ from .groebner import (
     ideal_equal,
     restrict_to_variables,
 )
-from .hilbert import PreconditionError, hilbert_data
+from .hilbert import PreconditionError, hilbert_data, normalize_point
 from .poly import (
     GRLEX,
     HomogeneousIdeal,
@@ -56,11 +56,7 @@ class ProjectivePoint:
 
     @classmethod
     def of(cls, coords) -> "ProjectivePoint":
-        vals = tuple(Fraction(c) for c in coords)
-        lead = next((v for v in vals if v != 0), None)
-        if lead is None:
-            raise ValueError("zero vector is not a projective point")
-        return cls(tuple(v / lead for v in vals))
+        return cls(normalize_point(coords))
 
 
 def flat_limit(ideal: HomogeneousIdeal, lam: OnePS) -> HomogeneousIdeal:

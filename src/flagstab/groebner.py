@@ -1,4 +1,5 @@
-"""Buchberger's algorithm, normal forms, elimination and the degreewise
+"""Buchberger's algorithm and normal forms, both over the integers through
+one fraction-free division kernel; elimination; and the degreewise
 linear-algebra membership oracle.
 
 The membership oracle is deliberately independent of Buchberger: for a
@@ -11,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add, le
 
 from .linalg import Echelon, row_from_fractions
 from .poly import (
@@ -31,16 +34,10 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder = GRLEX) -> Poly
     """S-polynomial of f and g with respect to their leading terms."""
     if f.is_zero or g.is_zero:
         raise ValueError("S-polynomial of a zero polynomial")
-    mf, cf = f.leading(order)
-    mg, cg = g.leading(order)
+    (mf, cf), (mg, cg) = f.leading(order), g.leading(order)
     l = monomial_lcm(mf, mg)
-    terms: dict[Monomial, Fraction] = {}
-    for p, mp, q in ((f, mf, 1 / cf), (g, mg, -1 / cg)):
-        shift = monomial_div(l, mp)
-        for m, c in p.terms.items():
-            t = monomial_mul(m, shift)
-            terms[t] = terms.get(t, 0) + q * c
-    return Polynomial(f.nvars, terms)
+    lf = Polynomial.from_monomial(monomial_div(l, mf), 1 / cf)
+    return lf * f - Polynomial.from_monomial(monomial_div(l, mg), 1 / cg) * g
 
 
 def normal_form(f: Polynomial, basis, order: TermOrder = GRLEX) -> Polynomial:
@@ -49,22 +46,61 @@ def normal_form(f: Polynomial, basis, order: TermOrder = GRLEX) -> Polynomial:
     No term of the result is divisible by any basis leading monomial,
     and f minus the result lies in the ideal generated by the basis.
     """
-    divisors = []
-    for b in basis:
-        if not b.is_zero:
-            mb, cb = b.leading(order)
-            divisors.append((mb, cb, [t for t in b.terms.items() if t[0] != mb]))
-    work = dict(f.terms)
-    remainder: dict[Monomial, Fraction] = {}
+    keys = _OrderKeys(order)
+    divisors = [_divisor(_integer_terms(b)[0], keys) for b in basis if not b.is_zero]
+    work, den = _integer_terms(f)
+    r, scale = _divide(work, divisors, keys)
+    return Polynomial(f.nvars, {m: Fraction(c, den * scale) for m, c in r.items()})
+
+
+class _OrderKeys(dict):
+    """Order keys of the monomials met in one call, computed on first lookup."""
+
+    def __init__(self, order: TermOrder):
+        self.key = order.key
+
+    def __missing__(self, m: Monomial):
+        k = self[m] = self.key(m)
+        return k
+
+
+def _integer_terms(f: Polynomial) -> tuple[dict[Monomial, int], int]:
+    """D*f as an integer term dict, with D the lcm of f's denominators."""
+    den = lcm(*(c.denominator for c in f.terms.values()))
+    return {m: c.numerator * (den // c.denominator) for m, c in f.terms.items()}, den
+
+
+def _divisor(terms: dict[Monomial, int], keys: _OrderKeys) -> tuple:
+    """(lead, lead coefficient, tail) of the primitive multiple with a
+    positive lead coefficient: the form `_divide` takes divisors in."""
+    lead = max(terms, key=keys.__getitem__)
+    h = gcd(*terms.values()) if terms[lead] > 0 else -gcd(*terms.values())
+    return lead, terms[lead] // h, [(m, c // h) for m, c in terms.items() if m != lead]
+
+
+def _divide(work: dict[Monomial, int], divisors: list, keys: _OrderKeys) -> tuple[dict, int]:
+    """Full division of an integer term dict, free of fractions (primitive
+    pseudo-division; Geddes, Czapor and Labahn, "Algorithms for Computer
+    Algebra", 1992). Returns (r, k) with k > 0 and r = k*f - sum q_i*b_i,
+    so r/k is the rational remainder, reached on the same division path.
+    """
+    remainder: dict[Monomial, int] = {}
+    scale = 1
     while work:
-        m = max(work, key=order.key)
+        m = max(work, key=keys.__getitem__)
         c = work.pop(m)
         for mb, cb, tail in divisors:
-            if monomial_divides(mb, m):
-                q = c / cb
+            if all(map(le, mb, m)):
+                h = gcd(c, cb)
+                if h != cb:  # scale so that cb divides the coefficient
+                    s = cb // h
+                    scale *= s
+                    work = {t: v * s for t, v in work.items()}
+                    remainder = {t: v * s for t, v in remainder.items()}
+                q = c // h
                 shift = monomial_div(m, mb)
                 for mt, ct in tail:
-                    t = monomial_mul(mt, shift)
+                    t = tuple(map(add, mt, shift))
                     v = work.get(t, 0) - q * ct
                     if v:
                         work[t] = v
@@ -73,7 +109,7 @@ def normal_form(f: Polynomial, basis, order: TermOrder = GRLEX) -> Polynomial:
                 break
         else:
             remainder[m] = c
-    return Polynomial(f.nvars, remainder)
+    return remainder, scale
 
 
 @dataclass(frozen=True)
@@ -98,25 +134,31 @@ def buchberger(ideal: HomogeneousIdeal, order: TermOrder = GRLEX) -> GroebnerBas
     Pairs are pruned by the Gebauer-Moeller criteria ("On an installation
     of Buchberger's algorithm", J. Symbolic Comput. 6, 1988) and reduced
     by ascending lcm degree; on homogeneous input that is the sugar
-    strategy.
+    strategy. Elements are held as primitive integer divisors and
+    S-polynomials reduced fraction-free; only the monic result is rational.
     """
-    basis: list[Polynomial] = []
+    keys = _OrderKeys(order)
+    basis: list[tuple] = []  # (lead, lead coefficient, tail), as `_divisor` gives
     leads: list[Monomial] = []
     pairs: list[tuple[int, Monomial, int, int]] = []  # (deg lcm, lcm, i, j), largest first
     for g in ideal.generators:
-        _add_to_basis(g.monic(order), basis, leads, pairs, order)
+        _add_to_basis(_divisor(_integer_terms(g)[0], keys), basis, leads, pairs)
     while pairs:
-        _, _, i, j = pairs.pop()
-        s = normal_form(s_polynomial(basis[i], basis[j], order), basis, order)
-        if not s.is_zero:
-            _add_to_basis(s.monic(order), basis, leads, pairs, order)
-    return GroebnerBasis(tuple(_interreduce(basis, leads, order)), order, reduced=True)
+        _, l, i, j = pairs.pop()
+        # dividing x^(l - lead i)*basis[i] by basis[j] first forms their S-polynomial
+        mi, ci, tail = basis[i]
+        shift = monomial_div(l, mi)
+        work = {monomial_mul(m, shift): c for m, c in [(mi, ci), *tail]}
+        r, _ = _divide(work, [basis[j], *basis], keys)
+        if r:
+            _add_to_basis(_divisor(r, keys), basis, leads, pairs)
+    return GroebnerBasis(tuple(_interreduce(basis, leads, keys)), order)
 
 
-def _add_to_basis(g: Polynomial, basis: list, leads: list, pairs: list, order: TermOrder) -> None:
+def _add_to_basis(g: tuple, basis: list, leads: list, pairs: list) -> None:
     """Append g to the basis and apply the Gebauer-Moeller update to the pairs."""
     k = len(basis)
-    lk = g.leading(order)[0]
+    lk = g[0]
     basis.append(g)
     leads.append(lk)
     # old pair (i, j) whose lcm lead(k) divides, unless lcm(i, k) or
@@ -142,9 +184,7 @@ def _add_to_basis(g: Polynomial, basis: list, leads: list, pairs: list, order: T
     pairs.sort(reverse=True)
 
 
-def _interreduce(
-    basis: list[Polynomial], leads: list[Monomial], order: TermOrder
-) -> list[Polynomial]:
+def _interreduce(basis: list[tuple], leads: list[Monomial], keys: _OrderKeys) -> list[Polynomial]:
     # drop members whose lead is divisible by another lead
     kept = [
         g
@@ -154,8 +194,11 @@ def _interreduce(
             for j, mh in enumerate(leads)
         )
     ]
-    out = [normal_form(g, kept[:i] + kept[i + 1 :], order).monic(order) for i, g in enumerate(kept)]
-    out.sort(key=lambda g: (g.degree(), order.key(g.leading(order)[0])))
+    kept.sort(key=lambda g: (sum(g[0]), keys[g[0]]))  # reducing keeps each lead
+    out = []
+    for i, (mg, cg, tail) in enumerate(kept):
+        r, _ = _divide(dict([(mg, cg), *tail]), kept[:i] + kept[i + 1 :], keys)
+        out.append(Polynomial(len(mg), {m: Fraction(c, r[mg]) for m, c in r.items()}))
     return out
 
 

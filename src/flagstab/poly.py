@@ -288,7 +288,7 @@ class Polynomial:
         if not self.terms:
             return self
         _, c = self.leading(order)
-        return self * (1 / c)
+        return self if c == 1 else self * (1 / c)
 
     def sorted_terms(self, order: TermOrder = GRLEX) -> list[tuple[Monomial, Fraction]]:
         return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=True)

@@ -2,9 +2,10 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from flagstab import (
@@ -24,6 +25,7 @@ from flagstab import (
     weight_order,
 )
 from flagstab.groebner import restrict_to_variables
+from flagstab.poly import monomial_divides
 
 from conftest import V, twisted_cubic
 
@@ -112,10 +114,20 @@ class TestBuchberger:
         assert a.basis == b.basis
 
 
-def _random_form(rng: random.Random, nvars: int, degree: int, nterms: int) -> Polynomial:
+SMALL = [-3, -2, -1, 1, 2, 3]
+# non-integer rationals and integers of size >= 10^6: the integer division
+# kernel scales, clears denominators and takes contents on these
+WIDE = [Fraction(k, d) for k in (-5, -2, 1, 4) for d in (3, 5, 7)] + [
+    -1_000_003, 1_000_000, 2_718_281, -31_415_926_535
+]
+
+
+def _random_form(
+    rng: random.Random, nvars: int, degree: int, nterms: int, coeffs=SMALL
+) -> Polynomial:
     monos = monomials_of_degree(nvars, degree)
     picked = rng.sample(monos, min(nterms, len(monos)))
-    return Polynomial(nvars, {m: rng.choice([-3, -2, -1, 1, 2, 3]) for m in picked})
+    return Polynomial(nvars, {m: rng.choice(coeffs) for m in picked})
 
 
 def _random_ideals() -> list[HomogeneousIdeal]:
@@ -131,16 +143,30 @@ def _random_ideals() -> list[HomogeneousIdeal]:
     return out
 
 
+def _wide_ideals() -> list[HomogeneousIdeal]:
+    """Ideals in 3-4 variables whose coefficients are non-integer
+    rationals (denominators 3, 5, 7) and integers of size >= 10^6."""
+    rng = random.Random(1992)
+    shapes = [(4, (2, 2, 2), 4), (4, (1, 2, 2), 4), (4, (2, 2, 2), 3)]
+    shapes += [(3, (2, 2), 4), (3, (1, 3, 3), 3), (3, (2, 2, 3), 3), (3, (2, 3), 4)]
+    return [
+        HomogeneousIdeal(n, [_random_form(rng, n, d, t, WIDE) for d in degrees])
+        for n, degrees, t in shapes
+    ]
+
+
 RANDOM_IDEALS = _random_ideals()
+WIDE_IDEALS = _wide_ideals()
 RANDOM_IDS = [f"{ideal.nvars}vars-{k}" for k, ideal in enumerate(RANDOM_IDEALS)]
+RANDOM_IDS += [f"{ideal.nvars}vars-wide-{k}" for k, ideal in enumerate(WIDE_IDEALS)]
 
 
 class TestAgainstIndependentChecks:
-    """Pair pruning must not change the basis: GRLEX bases are compared
-    with sympy; weight and elimination orders are checked by Buchberger's
-    criterion over all pairs of the returned basis."""
+    """Pair pruning and integer arithmetic must not change the basis:
+    GRLEX bases are compared with sympy; weight and elimination orders are
+    checked by Buchberger's criterion over all pairs of the returned basis."""
 
-    @pytest.mark.parametrize("ideal", RANDOM_IDEALS, ids=RANDOM_IDS)
+    @pytest.mark.parametrize("ideal", RANDOM_IDEALS + WIDE_IDEALS, ids=RANDOM_IDS)
     def test_grlex_basis_matches_sympy(self, ideal):
         sympy = pytest.importorskip("sympy")
         xs = sympy.symbols(f"x0:{ideal.nvars}")
@@ -164,7 +190,7 @@ class TestAgainstIndependentChecks:
         }
         assert {g.monic(GRLEX) for g in buchberger(ideal).basis} == want
 
-    @pytest.mark.parametrize("ideal", RANDOM_IDEALS, ids=RANDOM_IDS)
+    @pytest.mark.parametrize("ideal", RANDOM_IDEALS + WIDE_IDEALS, ids=RANDOM_IDS)
     def test_weight_and_block_orders_satisfy_buchberger_criterion(self, ideal):
         n = ideal.nvars
         weights = (3,) + (-1,) * (n - 1)
@@ -181,6 +207,26 @@ class TestAgainstIndependentChecks:
                     assert normal_form(s_polynomial(f, g, order), basis, order).is_zero
             for g in ideal.generators:
                 assert normal_form(g, basis, order).is_zero
+
+
+NF_ORDERS = [GRLEX, weight_order(OnePS((2, -1, -1))), TermOrder(dropped=(0,))]
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**32), order=st.sampled_from(NF_ORDERS))
+def test_normal_form_of_rational_input_by_any_basis(seed, order):
+    """On a basis that is not a Groebner basis, the remainder of a rational
+    f still has no term divisible by a basis lead, and f minus it lies in
+    the ideal (the degreewise oracle decides membership)."""
+    rng = random.Random(seed)
+    basis = [_random_form(rng, 3, d, 3, WIDE) for d in rng.choice([(1, 2), (2, 2), (2, 2, 3)])]
+    pairs = combinations(basis, 2)
+    assume(any(not normal_form(s_polynomial(a, b, order), basis, order).is_zero for a, b in pairs))
+    f = _random_form(rng, 3, 3, 6, WIDE)
+    r = normal_form(f, basis, order)
+    leads = [b.leading(order)[0] for b in basis]
+    assert not any(monomial_divides(mb, m) for m in r.terms for mb in leads)
+    assert contains_oracle(HomogeneousIdeal(3, basis), f - r)
 
 
 class TestEliminate:

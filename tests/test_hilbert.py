@@ -1,7 +1,9 @@
 """Hilbert data, weighted slice weights, Chow weights and point stability."""
 
+import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+from operator import mul
 
 import pytest
 
@@ -187,6 +189,52 @@ class TestClosedForms:
             chow_weight_join(2, -1, 2, 0, 0)  # a + b*d = 0 in the equal case
 
 
+def _plane_configurations() -> list[list[tuple[int, int, int]]]:
+    """Seeded configurations in P^2 with coordinates in {-2..2}, with
+    repeated points (also written as proportional vectors) and collinear
+    triples."""
+    rng = random.Random(1977)
+    grid = [p for p in product(range(-2, 3), repeat=3) if any(p)]
+    out = [
+        [(1, 0, 0)] * 3,
+        [(1, 1, 0), (-2, -2, 0), (0, 0, 1)],  # one point twice, as proportional vectors
+        [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1, 0), (0, 0, 1), (1, 1, 1)],
+    ]
+    while len(out) < 30:
+        pts = rng.sample(grid, rng.randint(1, 3))
+        size = rng.randint(2, 8)
+        while len(pts) < size:
+            p, q = rng.sample(pts, 2) if len(pts) > 1 else (pts[0], pts[0])
+            k = rng.choice((-1, 1))
+            on_line = tuple(a + k * b for a, b in zip(p, q))
+            if rng.random() < 0.15:
+                pts.append(rng.choice(pts))  # repeat
+            elif any(on_line) and all(-2 <= c <= 2 for c in on_line) and rng.random() < 0.6:
+                pts.append(on_line)  # collinear with p and q
+            else:
+                pts.append(rng.choice(grid))
+        out.append(pts)
+    return out
+
+
+def _brute_force_margin(pts) -> Fraction:
+    """max of count/d - (dim Z + 1)/3 over single points Z and over every
+    line a*x + b*y + c*z = 0 with (a, b, c) in {-8..8}^3; a line through
+    two points with coordinates in {-2..2} has a normal (their cross
+    product) with entries of size at most 8, so no spanned line is missed."""
+    d = len(pts)
+
+    def same(p, q):  # proportional vectors: zero cross product
+        return all(p[i] * q[j] == p[j] * q[i] for i, j in ((0, 1), (0, 2), (1, 2)))
+
+    best = max(Fraction(sum(same(p, q) for q in pts), d) - Fraction(1, 3) for p in pts)
+    for line in product(range(-8, 9), repeat=3):
+        if any(line):
+            count = sum(sum(map(mul, line, p)) == 0 for p in pts)
+            best = max(best, Fraction(count, d) - Fraction(2, 3))
+    return best
+
+
 class TestChowPointsStability:
     def test_three_generic_points_in_p1(self):
         cfg = PointConfiguration.from_coords([(1, 0), (0, 1), (1, 1)])
@@ -228,3 +276,11 @@ class TestChowPointsStability:
     def test_rejects_zero_vector(self):
         with pytest.raises(ValueError):
             PointConfiguration.from_coords([(0, 0)])
+
+    @pytest.mark.parametrize("pts", _plane_configurations())
+    def test_against_brute_force(self, pts):
+        margin = _brute_force_margin(pts)
+        verdict = chow_points_stability(PointConfiguration.from_coords(pts))
+        assert verdict.margin == margin
+        want = "unstable" if margin > 0 else "stable" if margin < 0 else "strictly_semistable"
+        assert verdict.verdict == want
