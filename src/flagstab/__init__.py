@@ -63,7 +63,6 @@ from .parabolic import (
     StageData,
     block_profile,
     configuration_unipotent_stabilizer_dim,
-    lie_unipotent_stabilizer_dim,
     stage_data,
 )
 from .flags import (

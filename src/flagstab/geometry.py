@@ -233,6 +233,7 @@ def singular_locus_empty(ideal: HomogeneousIdeal, expected_dim: int) -> bool:
 
 
 def is_nondegenerate(ideal: HomogeneousIdeal) -> bool:
-    """True iff the ideal contains no nonzero linear form."""
-    _, ech = degree_echelon(ideal, 1)
-    return ech.rank == 0
+    """True iff the ideal contains no nonzero linear form. Generators
+    are homogeneous, so I_1 is spanned by those of degree 1, or is
+    everything when one is a nonzero constant."""
+    return all(g.degree() > 1 for g in ideal.generators)

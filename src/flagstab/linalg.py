@@ -77,28 +77,6 @@ class Echelon:
             row = _combine(row, piv, c)
         return row
 
-    def reduce_exact(self, row: dict[int, Fraction]) -> dict[int, Fraction]:
-        """Linear normal form: subtracts exact pivot multiples until no
-        pivot column is left. The result is unique for the row space."""
-        row = {c: Fraction(v) for c, v in row.items() if v != 0}
-        out = {}
-        while row:
-            c = min(row)
-            v = row.pop(c)
-            piv = self.pivots.get(c)
-            if piv is None:
-                out[c] = v
-                continue
-            factor = v / piv[c]
-            for pc, pv in piv.items():
-                if pc != c:
-                    w = row.get(pc, 0) - factor * pv
-                    if w:
-                        row[pc] = w
-                    else:
-                        row.pop(pc, None)
-        return out
-
     def insert(self, row: Row) -> bool:
         """Add a row; returns True if it increased the rank."""
         r = self.reduce(row)

@@ -1,6 +1,7 @@
 """Block bookkeeping for graded one-parameter subgroups of SL(V):
 the parabolic P and its subgroups as block patterns, the staged
-two-weight 1PS data, and infinitesimal unipotent stabilizers of ideals.
+two-weight 1PS data, and infinitesimal unipotent stabilizers of ideals,
+read off normal forms against their reduced graded-lex bases.
 
 Weights of a `GradedOnePS` are weights on basis *vectors*; block 1
 carries the largest weight. Staged weight averages are exact rationals,
@@ -15,8 +16,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .linalg import determinant, rank_of_rows
-from .groebner import degree_echelon, poly_to_row
-from .poly import HomogeneousIdeal, OnePS, Polynomial
+from .groebner import buchberger, normal_form
+from .poly import GRLEX, OnePS, Polynomial
 
 
 @dataclass(frozen=True)
@@ -214,47 +215,25 @@ def configuration_unipotent_stabilizer_dim(ideals, g: GradedOnePS, j: int) -> in
     An element nu of the Lie algebra moves the basis vector v_c by
     sum_r nu_rc v_r; on coordinate functions this is the derivation
     sending x_r to -sum_c nu_rc x_c. The stabilizer condition is that
-    the derivation maps every generator into the ideal, which is exact
-    linear algebra degree by degree. In characteristic zero the group
-    stabilizer is trivial iff this dimension is zero.
+    the derivation maps every generator f into the ideal. Normal forms
+    against the reduced basis are linear with kernel the ideal, so nu
+    stabilizes iff sum_rc nu_rc NF(x_c d_r f) = 0 for every f: the
+    dimension is the number of entries less the rank of their normal
+    form rows. In characteristic zero the group stabilizer is trivial
+    iff this dimension is zero.
     """
     if not 1 <= j < g.ell:
         raise ValueError(f"stage must satisfy 1 <= j < {g.ell}")
     entries = _bracket_entries(g, j)
-    entry_index = {e: k for k, e in enumerate(entries)}
-    constraint_rows: list[dict[int, Fraction]] = []
-    for ideal in ideals:
+    rows: list[dict[int, Fraction]] = [{} for _ in entries]
+    columns: dict[tuple, int] = {}  # (ideal index, generator index, monomial)
+    for a, ideal in enumerate(ideals):
         if ideal.nvars != g.size:
             raise ValueError("ideal ring size must match the grading")
-        cache: dict[int, tuple] = {}
-        for f in ideal.generators:
-            d = f.degree()
-            if d not in cache:
-                cache[d] = degree_echelon(ideal, d)
-            columns, ech = cache[d]
-            residuals = {}
-            for (r, c) in entries:
+        basis = buchberger(ideal, GRLEX).basis
+        for b, f in enumerate(ideal.generators):
+            for row, (r, c) in zip(rows, entries):
                 moved = Polynomial.variable(g.size, c) * f.partial(r)
-                if moved.is_zero:
-                    continue
-                res = ech.reduce_exact(poly_to_row(moved, columns))
-                if res:
-                    residuals[(r, c)] = res
-            # one linear constraint on nu per monomial left unexplained
-            monos = sorted({m for res in residuals.values() for m in res})
-            for mono in monos:
-                row = {
-                    entry_index[e]: res[mono]
-                    for e, res in residuals.items()
-                    if mono in res
-                }
-                if row:
-                    constraint_rows.append(row)
-    return len(entries) - rank_of_rows(constraint_rows)
-
-
-def lie_unipotent_stabilizer_dim(
-    ideal: HomogeneousIdeal, g: GradedOnePS, j: int
-) -> int:
-    """Lie-algebra stabilizer dimension in Lie U^[j] of a single ideal."""
-    return configuration_unipotent_stabilizer_dim([ideal], g, j)
+                for m, v in normal_form(moved, basis).terms.items():
+                    row[columns.setdefault((a, b, m), len(columns))] = v
+    return len(entries) - rank_of_rows(rows)

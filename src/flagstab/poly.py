@@ -93,10 +93,6 @@ class OnePS:
         return OnePS(tuple(k * w for w in self.weights))
 
 
-def monomial_weight(m: Monomial, lam: OnePS) -> int:
-    return lam.weight(m)
-
-
 @dataclass(frozen=True)
 class TermOrder:
     """Total multiplicative monomial order; the leading term is the maximum.

@@ -1,9 +1,11 @@
 """The textual front end: parsing, dispatch, output and exit codes."""
 
 import json
+import sys
 
 import pytest
 
+from flagstab import groebner
 from flagstab.cli import (
     MAX_DEGREE,
     MAX_EXPONENT,
@@ -15,7 +17,7 @@ from flagstab.cli import (
     parse_polynomial,
 )
 
-from conftest import V
+from conftest import V, flag_corpus
 
 
 CONIC_DOC = """\
@@ -237,3 +239,51 @@ class TestDeterminism:
         code, out, _ = run(capsys, "flat-limit", str(path), "--output", "text")
         assert code == 0
         assert "results.generators = y^2" in out
+
+
+README_FLAG_DOC = """\
+ring x, y, v1
+command: flag-check
+ideal: x^2*y + x*y^2 + v1^3
+points: (1,0); (0,1); (1,-1)
+flag: n=1 a0=5
+beta: 1, -2
+mults: 2, 1
+"""
+
+
+def _flag_corpus_docs() -> list[str]:
+    docs = [README_FLAG_DOC]
+    for _, _, flag in flag_corpus():
+        (top,) = flag.top_ideal.generators
+        points = "; ".join(f"({a},{b})" for a, b in flag.points0.points)
+        docs.append(f"ring x, y, v1\nideal: {top.to_str(['x', 'y', 'v1'])}\npoints: {points}\nflag: n=1\n")
+    return docs
+
+
+def test_flag_pipeline_runs_without_the_degreewise_oracle(tmp_path, capsys, monkeypatch):
+    """flag-check and flag-validate without --check never reach
+    degree_echelon: with it rebound to raise in every flagstab module
+    that binds it, their exit codes and output are unchanged."""
+    paths = []
+    for k, text in enumerate(_flag_corpus_docs()):
+        paths.append(tmp_path / f"flag-{k}.txt")
+        paths[-1].write_text(text)
+    runs = [(command, str(p)) for p in paths for command in ("flag-check", "flag-validate")]
+    expected = [run(capsys, *argv) for argv in runs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("degree_echelon reached")
+
+    original = groebner.degree_echelon
+    rebound = 0
+    for name, module in list(sys.modules.items()):
+        if name == "flagstab" or name.startswith("flagstab."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, refuse)
+                    rebound += 1
+    assert rebound >= 2  # groebner itself and at least one importer
+    for argv, (code, out, err) in zip(runs, expected):
+        assert code == 0, argv
+        assert run(capsys, *argv) == (code, out, err)

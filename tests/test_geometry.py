@@ -4,6 +4,7 @@ import pytest
 
 from flagstab import (
     HomogeneousIdeal,
+    degree_dimension,
     OnePS,
     Polynomial,
     flat_limit,
@@ -25,7 +26,7 @@ from flagstab.geometry import (
     projection_dominant,
 )
 
-from conftest import V, twisted_cubic
+from conftest import V, corpus_ideals, flag_corpus, twisted_cubic
 
 
 CONIC = HomogeneousIdeal(3, [V(3, 0) * V(3, 2) - V(3, 1) ** 2])
@@ -219,3 +220,16 @@ class TestNondegeneracy:
 
     def test_twisted_cubic(self):
         assert is_nondegenerate(twisted_cubic())
+
+    def test_matches_degree_one_slice(self):
+        ideals = [ideal for _, ideal in corpus_ideals()]
+        for _, _, flag in flag_corpus():
+            for i in range(flag.n + 1):
+                ideals += [flag.stratum_ideal(i), flag.stratum_subring_ideal(i)]
+        ideals += [HomogeneousIdeal(3, []), HomogeneousIdeal(3, [Polynomial.constant(3, 1)])]
+        verdicts = set()
+        for ideal in ideals:
+            verdict = is_nondegenerate(ideal)
+            assert verdict == (degree_dimension(ideal, 1) == 0), ideal
+            verdicts.add(verdict)
+        assert verdicts == {True, False}

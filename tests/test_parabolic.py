@@ -1,5 +1,6 @@
 """Graded 1PS block bookkeeping and unipotent Lie stabilizers."""
 
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -10,18 +11,21 @@ from hypothesis import strategies as st
 from flagstab import (
     GradedOnePS,
     HomogeneousIdeal,
+    HyperplanarFlag,
     OnePS,
     Polynomial,
     block_profile,
     configuration_unipotent_stabilizer_dim,
     contains_oracle,
-    lie_unipotent_stabilizer_dim,
+    flag_limit,
     monomials_of_degree,
     stage_data,
+    standard_grading,
 )
+from flagstab.groebner import degree_echelon, poly_to_row
 from flagstab.linalg import rank_of_rows
 
-from conftest import V
+from conftest import V, flag_corpus
 
 
 G211 = GradedOnePS((2, -1, -3), (2, 1, 1))  # size 4, ell 3
@@ -139,23 +143,23 @@ class TestLieStabilizer:
         # nothing in Lie U^[1] fixes the ideal
         x, y = V(3, 0), V(3, 1)
         cone = HomogeneousIdeal(3, [x * y * (x + y)])
-        assert lie_unipotent_stabilizer_dim(cone, G21, 1) == 0
+        assert configuration_unipotent_stabilizer_dim([cone], G21, 1) == 0
 
     def test_ideal_from_late_blocks_is_annihilated(self):
         # generators involve only variables of blocks > 1: every
         # derivation of Lie U^[1] kills them
         ideal = HomogeneousIdeal(3, [V(3, 2) ** 2])
-        assert lie_unipotent_stabilizer_dim(ideal, G21, 1) == 2
+        assert configuration_unipotent_stabilizer_dim([ideal], G21, 1) == 2
 
     def test_zero_ideal(self):
-        assert lie_unipotent_stabilizer_dim(HomogeneousIdeal(3, []), G21, 1) == 2
-        assert lie_unipotent_stabilizer_dim(HomogeneousIdeal(4, []), G211, 1) == 4
-        assert lie_unipotent_stabilizer_dim(HomogeneousIdeal(4, []), G211, 2) == 3
+        assert configuration_unipotent_stabilizer_dim([HomogeneousIdeal(3, [])], G21, 1) == 2
+        assert configuration_unipotent_stabilizer_dim([HomogeneousIdeal(4, [])], G211, 1) == 4
+        assert configuration_unipotent_stabilizer_dim([HomogeneousIdeal(4, [])], G211, 2) == 3
 
     def test_partial_stabilizer_detected(self):
         # <x> is moved by nu_{02} but fixed by nu_{12}: dimension 1
         ideal = HomogeneousIdeal(3, [V(3, 0)])
-        assert lie_unipotent_stabilizer_dim(ideal, G21, 1) == 1
+        assert configuration_unipotent_stabilizer_dim([ideal], G21, 1) == 1
 
     def test_configuration_intersects_stabilizers(self):
         x, y = V(3, 0), V(3, 1)
@@ -165,7 +169,7 @@ class TestLieStabilizer:
 
     def test_stage_out_of_range(self):
         with pytest.raises(ValueError):
-            lie_unipotent_stabilizer_dim(HomogeneousIdeal(3, []), G21, 2)
+            configuration_unipotent_stabilizer_dim([HomogeneousIdeal(3, [])], G21, 2)
 
     def test_mixed_degree_generators_match_brute_force(self):
         # the degree-2 generator's residuals must be a full linear normal
@@ -177,12 +181,16 @@ class TestLieStabilizer:
         assert configuration_unipotent_stabilizer_dim([ideal], g, 1) == 2
 
 
+def _entries(g: GradedOnePS, j: int) -> list[tuple[int, int]]:
+    blk = [g.block_of(k) for k in range(g.size)]
+    return [(r, c) for r in range(g.size) for c in range(g.size) if blk[r] < j <= blk[c]]
+
+
 def _brute_force_stabilizer_dim(ideal: HomogeneousIdeal, g: GradedOnePS, j: int) -> int:
     """Rank of the nu in {-2..2}^entries of Lie U^[j] whose derivation
     sum nu_rc * x_c * d/dx_r maps every generator into the ideal."""
     n = g.size
-    blk = [g.block_of(k) for k in range(n)]
-    entries = [(r, c) for r in range(n) for c in range(n) if blk[r] < j <= blk[c]]
+    entries = _entries(g, j)
     fixing = []
     for nu in product(range(-2, 3), repeat=len(entries)):
         if all(
@@ -197,6 +205,83 @@ def _brute_force_stabilizer_dim(ideal: HomogeneousIdeal, g: GradedOnePS, j: int)
         ):
             fixing.append(dict(enumerate(nu)))
     return rank_of_rows(fixing)
+
+
+def _degreewise_stabilizer_dim(ideals, g: GradedOnePS, j: int) -> int:
+    """The stabilizer dimension by degreewise linear algebra, free of
+    Buchberger. Each generator f of each ideal has its own column block,
+    holding the rows of I_(deg f) and, in the row of entry (r, c), the
+    moved generator x_c * d/dx_r f. The entry rows add to the rank of the
+    ideal rows exactly the rank of nu -> (moved f mod I_(deg f))_f, whose
+    kernel is the stabilizer."""
+    entries = _entries(g, j)
+    entry_rows: list[dict] = [{} for _ in entries]
+    ideal_rows: list[dict] = []
+    ideal_rank = 0
+    for a, ideal in enumerate(ideals):
+        for b, f in enumerate(ideal.generators):
+            columns, ech = degree_echelon(ideal, f.degree())
+            ideal_rank += ech.rank
+            ideal_rows += [{(a, b, c): v for c, v in row.items()} for row in ech.pivots.values()]
+            for row, (r, c) in zip(entry_rows, entries):
+                moved = V(g.size, c) * f.partial(r)
+                row.update({(a, b, k): v for k, v in poly_to_row(moved, columns).items()})
+    return len(entries) - (rank_of_rows(ideal_rows + entry_rows) - ideal_rank)
+
+
+def _n3_flag() -> HyperplanarFlag:
+    x0, x1, v1, v2, v3 = (V(5, i) for i in range(5))
+    top = x0**3 + x1**3 + v1**3 + v2**3 + v3**3 + x0 * v1 * v3
+    return HyperplanarFlag(3, 5, HomogeneousIdeal(5, [top]))
+
+
+def _random_graded_ideal(rng: random.Random):
+    """As `_graded_ideals`, with coefficients up to +-3."""
+    mults = rng.choice([(2, 1), (1, 2), (1, 1, 1), (3, 1), (1, 3), (2, 2), (2, 1, 1)])
+    g = GradedOnePS.standard(mults)
+    j = rng.randint(1, g.ell - 1)
+    gens = []
+    for d in [1, 2] + rng.sample([1, 2], rng.randint(0, 1)):
+        monos = rng.sample(monomials_of_degree(g.size, d), rng.randint(1, 3))
+        gens.append(Polynomial(g.size, {m: rng.choice([-3, -2, -1, 1, 2, 3]) for m in monos}))
+    return HomogeneousIdeal(g.size, gens), g, j
+
+
+class TestStabilizerAgainstDegreewiseOracle:
+    def test_oracle_on_known_cases(self):
+        x, y = V(3, 0), V(3, 1)
+        cone = HomogeneousIdeal(3, [x * y * (x + y)])
+        assert _degreewise_stabilizer_dim([cone], G21, 1) == 0
+        assert _degreewise_stabilizer_dim([HomogeneousIdeal(3, [x])], G21, 1) == 1
+        assert _degreewise_stabilizer_dim([HomogeneousIdeal(4, [])], G211, 2) == 3
+        # a stabilizer direction with no entries in -2..2, so the grid misses it
+        x0, x1, x2 = (V(3, i) for i in range(3))
+        ideal = HomogeneousIdeal(3, [x0 + x1 + x2, x0 - 2 * x1, x0 * x0])
+        g = GradedOnePS.standard((1, 2))
+        assert _brute_force_stabilizer_dim(ideal, g, 1) == 0
+        assert _degreewise_stabilizer_dim([ideal], g, 1) == 1
+        assert configuration_unipotent_stabilizer_dim([ideal], g, 1) == 1
+
+    def test_flag_limits(self):
+        flags = [flag for _, _, flag in flag_corpus()] + [_n3_flag()]
+        for flag in flags:
+            g = standard_grading(flag)
+            for i in range(1, flag.n + 1):
+                strata = flag_limit(flag, i).strata
+                for j in range(1, g.ell):
+                    assert configuration_unipotent_stabilizer_dim(
+                        strata, g, j
+                    ) == _degreewise_stabilizer_dim(strata, g, j), (flag.top_ideal, i, j)
+
+    def test_seeded_ideals_with_larger_coefficients(self):
+        rng = random.Random(20261018)
+        dims = []
+        for _ in range(40):
+            ideal, g, j = _random_graded_ideal(rng)
+            dim = configuration_unipotent_stabilizer_dim([ideal], g, j)
+            assert dim == _degreewise_stabilizer_dim([ideal], g, j), (ideal, g, j)
+            dims.append(dim)
+        assert any(dims) and not all(dims)
 
 
 @st.composite

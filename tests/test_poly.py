@@ -17,7 +17,6 @@ from flagstab import (
     monomials_of_degree,
     weight_order,
 )
-from flagstab.poly import monomial_weight
 
 from conftest import V
 
@@ -27,18 +26,18 @@ W211 = OnePS((2, -1, -1))
 
 class TestMonomialWeight:
     def test_direct_sum(self):
-        assert monomial_weight((1, 0, 1), W211) == 1
+        assert W211.weight((1, 0, 1)) == 1
 
     def test_negative(self):
-        assert monomial_weight((0, 2, 0), W211) == -2
+        assert W211.weight((0, 2, 0)) == -2
 
     def test_constant_monomial(self):
-        assert monomial_weight((0, 0, 0), W211) == 0
-        assert monomial_weight((0, 0), OnePS((5, -7))) == 0
+        assert W211.weight((0, 0, 0)) == 0
+        assert OnePS((5, -7)).weight((0, 0)) == 0
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
-            monomial_weight((1, 0), W211)
+            W211.weight((1, 0))
 
 
 class TestCompare:
