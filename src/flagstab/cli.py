@@ -13,6 +13,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
+from operator import add
 
 from . import __version__
 from .flags import (
@@ -66,8 +67,9 @@ COMMANDS = (
 # rather than left to exhaust memory in the parser or the computations.
 MAX_VARIABLES = 32
 MAX_EXPONENT = 64
-MAX_DEGREE = 64  # total degree of a generator and of every product in it
+MAX_DEGREE = 64  # total degree of a generator, of every product in it and --degree-bound
 MAX_TERMS = 10_000  # terms of a product, bounded before it is expanded
+MAX_POINT_WORK = 20_000  # point stability: subsets enumerated times points counted
 
 
 class ParseError(ValueError):
@@ -124,14 +126,35 @@ class _Tokens:
         return self.text[start : self.pos]
 
 
+def _terms_mul(a: dict, b: dict) -> dict:
+    """Product of two term dicts, zero coefficients dropped."""
+    out: dict = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(map(add, m1, m2))
+            out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def _terms_degree(terms: dict) -> int:
+    """Total degree of a term dict; -1 for the empty one, as for the zero polynomial."""
+    return max(map(sum, terms), default=-1)
+
+
 def parse_polynomial(text: str, names: list[str], line: int = 1, col0: int = 1) -> Polynomial:
     """Parse an infix expression with +, -, *, ^, parentheses and
-    integer/rational coefficients over the declared variables."""
+    integer/rational coefficients over the declared variables.
+
+    Intermediate values are term dicts {exponent tuple: int | Fraction}
+    holding no zero coefficient, so their degree and term count are the
+    final polynomial's; only the result is built as a `Polynomial`.
+    """
     index = {n: i for i, n in enumerate(names)}
     nvars = len(names)
+    one = (0,) * nvars
     toks = _Tokens(text, line, col0)
 
-    def atom() -> Polynomial:
+    def atom() -> dict:
         c = toks.peek()
         if c == "(":
             toks.take()
@@ -147,13 +170,15 @@ def parse_polynomial(text: str, names: list[str], line: int = 1, col0: int = 1) 
                 den = toks.integer()
                 if den == 0:
                     toks.error("zero denominator")
-                return Polynomial.constant(nvars, Fraction(num, den))
-            return Polynomial.constant(nvars, num)
+                num = Fraction(num, den)
+            return {one: num} if num else {}
         if c.isalpha() or c == "_":
             name = toks.name()
             if name not in index:
                 toks.error(f"undeclared variable '{name}'")
-            return Polynomial.variable(nvars, index[name])
+            exps = [0] * nvars
+            exps[index[name]] = 1
+            return {tuple(exps): 1}
         toks.error("expected a number, variable or '('")
 
     def check_size(degree: int, terms: int) -> None:
@@ -162,7 +187,7 @@ def parse_polynomial(text: str, names: list[str], line: int = 1, col0: int = 1) 
         if terms > MAX_TERMS:
             toks.error(f"a product of more than {MAX_TERMS} terms")
 
-    def factor() -> Polynomial:
+    def factor() -> dict:
         sign = 1
         while toks.peek() == "-":
             toks.take()
@@ -173,36 +198,48 @@ def parse_polynomial(text: str, names: list[str], line: int = 1, col0: int = 1) 
             e = toks.integer()
             if e > MAX_EXPONENT:
                 toks.error(f"exponent {e} exceeds the cap of {MAX_EXPONENT}")
-            check_size(base.degree() * e, comb(len(base.terms) + e, e))
-            base = base ** e
-        return base if sign > 0 else -base
+            check_size(_terms_degree(base) * e, comb(len(base) + e, e))
+            power = {one: 1}
+            while e:  # square and multiply
+                if e & 1:
+                    power = _terms_mul(power, base)
+                e >>= 1
+                if e:
+                    base = _terms_mul(base, base)
+            base = power
+        return base if sign > 0 else {m: -c for m, c in base.items()}
 
-    def term() -> Polynomial:
+    def term() -> dict:
         out = factor()
         while toks.peek() == "*":
             toks.take()
             f = factor()
-            check_size(out.degree() + f.degree(), len(out.terms) * len(f.terms))
-            out = out * f
+            check_size(_terms_degree(out) + _terms_degree(f), len(out) * len(f))
+            out = _terms_mul(out, f)
         return out
 
-    def expr() -> Polynomial:
+    def expr() -> dict:
         out = term()
         while True:
             c = toks.peek()
             if c == "+":
-                toks.take()
-                out = out + term()
+                sign = 1
             elif c == "-":
-                toks.take()
-                out = out - term()
+                sign = -1
             else:
                 return out
+            toks.take()
+            for m, v in term().items():
+                v = out.get(m, 0) + sign * v
+                if v:
+                    out[m] = v
+                else:
+                    del out[m]
 
     result = expr()
     if toks.peek():
         toks.error(f"unexpected character '{toks.peek()}'")
-    return result
+    return Polynomial(nvars, result)
 
 
 # -- input documents ---------------------------------------------------
@@ -298,6 +335,15 @@ def parse_document(text: str) -> InputDocument:
                 )
             if not pts:
                 raise ParseError("empty point list", lineno, 1)
+            n, k = len(pts), max(map(len, pts))
+            work = n * sum(comb(n, j) for j in range(1, min(n, k - 1) + 1))
+            if work > MAX_POINT_WORK:
+                raise ParseError(
+                    f"{n} points with {k} coordinates: point stability work {work} "
+                    f"exceeds the cap of {MAX_POINT_WORK}",
+                    lineno,
+                    1,
+                )
             doc.points = pts
         elif key == "flag":
             for piece in body.split():
@@ -611,19 +657,27 @@ def run_file(command: str | None, path: str, args) -> tuple[dict, int]:
     return out, code
 
 
+# Built once per process: `main` only calls `parse_args`, which leaves
+# the parser unchanged, so one document's options never reach the next.
+_PARSER = argparse.ArgumentParser(
+    prog="flagstab",
+    description="Exact flat limits, Chow weights and staged stability checks.",
+)
+_PARSER.add_argument("command", choices=COMMANDS + ("batch",))
+_PARSER.add_argument("files", nargs="+", metavar="FILE")
+_PARSER.add_argument("--check", action="store_true", help="enable cross-checks")
+_PARSER.add_argument("--degree-bound", type=int, default=None)
+_PARSER.add_argument("--output", choices=("json", "text"), default="json")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="flagstab",
-        description="Exact flat limits, Chow weights and staged stability checks.",
-    )
-    parser.add_argument("command", choices=COMMANDS + ("batch",))
-    parser.add_argument("files", nargs="+", metavar="FILE")
-    parser.add_argument("--check", action="store_true", help="enable cross-checks")
-    parser.add_argument("--degree-bound", type=int, default=None)
-    parser.add_argument("--output", choices=("json", "text"), default="json")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     try:
+        if args.degree_bound is not None and args.degree_bound > MAX_DEGREE:
+            raise ValueError(
+                f"--degree-bound {args.degree_bound} exceeds the cap of {MAX_DEGREE}"
+            )
         if args.command == "batch":
             outputs, code = [], 0
             for path in args.files:

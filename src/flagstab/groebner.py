@@ -46,11 +46,20 @@ def normal_form(f: Polynomial, basis, order: TermOrder = GRLEX) -> Polynomial:
     No term of the result is divisible by any basis leading monomial,
     and f minus the result lies in the ideal generated by the basis.
     """
+    return normal_forms([f], basis, order)[0]
+
+
+def normal_forms(fs, basis, order: TermOrder = GRLEX) -> list[Polynomial]:
+    """`normal_form` of each polynomial in fs, with the basis turned into
+    integer divisors once for all of them."""
     keys = _OrderKeys(order)
     divisors = [_divisor(_integer_terms(b)[0], keys) for b in basis if not b.is_zero]
-    work, den = _integer_terms(f)
-    r, scale = _divide(work, divisors, keys)
-    return Polynomial(f.nvars, {m: Fraction(c, den * scale) for m, c in r.items()})
+    out = []
+    for f in fs:
+        work, den = _integer_terms(f)
+        r, scale = _divide(work, divisors, keys)
+        out.append(Polynomial(f.nvars, {m: Fraction(c, den * scale) for m, c in r.items()}))
+    return out
 
 
 class _OrderKeys(dict):

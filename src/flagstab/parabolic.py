@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .linalg import determinant, rank_of_rows
-from .groebner import buchberger, normal_form
+from .groebner import buchberger, normal_forms
 from .poly import GRLEX, OnePS, Polynomial
 
 
@@ -230,10 +230,13 @@ def configuration_unipotent_stabilizer_dim(ideals, g: GradedOnePS, j: int) -> in
     for a, ideal in enumerate(ideals):
         if ideal.nvars != g.size:
             raise ValueError("ideal ring size must match the grading")
-        basis = buchberger(ideal, GRLEX).basis
-        for b, f in enumerate(ideal.generators):
-            for row, (r, c) in zip(rows, entries):
-                moved = Polynomial.variable(g.size, c) * f.partial(r)
-                for m, v in normal_form(moved, basis).terms.items():
-                    row[columns.setdefault((a, b, m), len(columns))] = v
+        cells = [
+            (b, row, Polynomial.variable(g.size, c) * f.partial(r))
+            for b, f in enumerate(ideal.generators)
+            for row, (r, c) in zip(rows, entries)
+        ]
+        reduced = normal_forms([moved for _, _, moved in cells], buchberger(ideal, GRLEX).basis)
+        for (b, row, _), nf in zip(cells, reduced):
+            for m, v in nf.terms.items():
+                row[columns.setdefault((a, b, m), len(columns))] = v
     return len(entries) - rank_of_rows(rows)

@@ -1,14 +1,24 @@
 """The textual front end: parsing, dispatch, output and exit codes."""
 
+import argparse
 import json
+import os
+import subprocess
 import sys
+from fractions import Fraction
+from math import comb
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from flagstab import groebner
+import flagstab
+from flagstab import Polynomial, groebner
 from flagstab.cli import (
     MAX_DEGREE,
     MAX_EXPONENT,
+    MAX_POINT_WORK,
     MAX_TERMS,
     MAX_VARIABLES,
     ParseError,
@@ -57,6 +67,147 @@ class TestParsePolynomial:
         assert "undeclared" in str(err.value)
 
 
+# Random expression trees over x, y, z: a leaf is a variable name or a
+# literal, a node is (op, child, child), ("neg", child), ("()", child)
+# or ("^", child, exponent).
+NAMES3 = ["x", "y", "z"]
+_leaves = st.one_of(
+    st.sampled_from(NAMES3),
+    st.integers(0, 12).map(str),
+    st.tuples(st.integers(0, 12), st.integers(1, 6)).map(lambda t: f"{t[0]}/{t[1]}"),
+)
+_trees = st.recursive(
+    _leaves,
+    lambda kids: st.one_of(
+        st.tuples(st.sampled_from("+-*"), kids, kids),
+        st.tuples(st.just("neg"), kids),
+        st.tuples(st.just("()"), kids),
+        st.tuples(st.just("^"), kids, st.integers(0, 3)),
+    ),
+    max_leaves=10,
+)
+
+
+def _render(node) -> tuple[str, int]:
+    """Text of a tree and its grammar level: 0 a sum, 1 a product,
+    2 a factor (unary minus or power), 3 an atom."""
+    if isinstance(node, str):
+        return node, 3
+    op = node[0]
+    if op == "()":
+        return f"({_render(node[1])[0]})", 3
+    if op == "neg":
+        return "-" + _operand(node[1], 2), 2
+    if op == "^":
+        return f"{_operand(node[1], 3)}^{node[2]}", 2
+    if op == "*":
+        return f"{_operand(node[1], 1)}*{_operand(node[2], 2)}", 1
+    return f"{_operand(node[1], 0)} {op} {_operand(node[2], 1)}", 0
+
+
+def _operand(node, level: int) -> str:
+    text, got = _render(node)
+    return text if got >= level else f"({text})"
+
+
+def _evaluate(node) -> Polynomial:
+    if isinstance(node, str):
+        if node in NAMES3:
+            return Polynomial.variable(3, NAMES3.index(node))
+        num, _, den = node.partition("/")
+        return Polynomial.constant(3, Fraction(int(num), int(den or 1)))
+    op = node[0]
+    if op == "()":
+        return _evaluate(node[1])
+    if op == "neg":
+        return -_evaluate(node[1])
+    if op == "^":
+        return _evaluate(node[1]) ** node[2]
+    a, b = _evaluate(node[1]), _evaluate(node[2])
+    return a + b if op == "+" else a - b if op == "-" else a * b
+
+
+def _within_caps(node) -> tuple[int, int, bool]:
+    """Upper bounds on the degree and term count of the tree's value, and
+    whether every size check the parser makes stays within the caps."""
+    if isinstance(node, str):
+        return (1 if node in NAMES3 else 0), 1, True
+    op = node[0]
+    if op in ("()", "neg"):
+        return _within_caps(node[1])
+    if op == "^":
+        d, t, ok = _within_caps(node[1])
+        d, t = d * node[2], comb(t + node[2], node[2])
+        return d, t, ok and d <= MAX_DEGREE and t <= MAX_TERMS
+    (da, ta, oka), (db, tb, okb) = _within_caps(node[1]), _within_caps(node[2])
+    if op == "*":
+        d, t = da + db, ta * tb
+        return d, t, oka and okb and d <= MAX_DEGREE and t <= MAX_TERMS
+    return max(da, db), ta + tb, oka and okb
+
+
+@settings(deadline=None, max_examples=200)
+@given(tree=_trees)
+def test_parse_matches_polynomial_arithmetic(tree):
+    assume(_within_caps(tree)[2])
+    text, _ = _render(tree)
+    assert parse_polynomial(text, NAMES3) == _evaluate(tree), text
+
+
+# Malformed input and the exact error, as recorded from the parser that
+# built every intermediate value as a Polynomial:
+# (text, number of variables, line, first column, message).
+PARSE_ERRORS = [
+    ("x*w", 2, 1, 1, "line 1, column 4: undeclared variable 'w'"),
+    ("1/0*x", 2, 2, 8, "line 2, column 11: zero denominator"),
+    ("(x + y", 2, 3, 1, "line 3, column 7: expected ')'"),
+    ("x*(x + y", 2, 1, 1, "line 1, column 9: expected ')'"),
+    ("x +", 2, 1, 1, "line 1, column 4: expected a number, variable or '('"),
+    ("x - y *", 2, 5, 10, "line 5, column 17: expected a number, variable or '('"),
+    ("x^65", 2, 1, 1, "line 1, column 5: exponent 65 exceeds the cap of 64"),
+    ("x^40*y^30", 2, 1, 1, "line 1, column 10: degree 70 exceeds the cap of 64"),
+    ("(x*y)^33", 2, 1, 1, "line 1, column 9: degree 66 exceeds the cap of 64"),
+    (
+        "(x0 + x1 + x2 + x3 + x4 + x5 + x6 + x7)^64", 8, 1, 1,
+        "line 1, column 43: a product of more than 10000 terms",
+    ),
+    (
+        "(x0 + x1 + x2 + x3)^7*(x0 + x1 + x2 + x3)^7", 4, 1, 1,
+        "line 1, column 44: a product of more than 10000 terms",
+    ),
+    ("x $ y", 2, 1, 1, "line 1, column 3: unexpected character '$'"),
+    ("x*#", 2, 1, 1, "line 1, column 3: expected a number, variable or '('"),
+    ("x^", 2, 1, 1, "line 1, column 3: expected an integer"),
+    ("3/x", 2, 1, 1, "line 1, column 3: expected an integer"),
+    ("", 2, 1, 1, "line 1, column 1: expected a number, variable or '('"),
+    ("2 x", 2, 1, 1, "line 1, column 3: unexpected character 'x'"),
+]
+
+
+@pytest.mark.parametrize("text, nvars, line, col0, message", PARSE_ERRORS)
+def test_parse_error_text(text, nvars, line, col0, message):
+    names = ["x", "y"] if nvars == 2 else [f"x{i}" for i in range(nvars)]
+    with pytest.raises(ParseError) as err:
+        parse_polynomial(text, names, line, col0)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("ring x, y\nideal: x*y; y + z\n", "line 2, column 18: undeclared variable 'z'"),
+        (
+            "ring x, y\n\nideal:  x^2 ;  x*)\n",
+            "line 3, column 18: expected a number, variable or '('",
+        ),
+    ],
+)
+def test_document_error_columns(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_document(text)
+    assert str(err.value) == message
+
+
 class TestParseDocument:
     def test_conic_document(self):
         doc = parse_document(CONIC_DOC)
@@ -95,6 +246,16 @@ class TestInputCaps:
         with pytest.raises(ParseError, match="degree"):
             parse_polynomial(f"(x*y)^{half + 1}", ["x", "y"])
 
+    def test_caps_measure_after_cancellation(self):
+        assert parse_polynomial("(x^40 - x^40)*y^30", ["x", "y"]).is_zero
+        with pytest.raises(ParseError, match="degree 70"):
+            parse_polynomial("(x^40 - x^40 + y^40)*y^30", ["x", "y"])
+        # the base has 3 terms, not 4 with x*y: C(3 + 32, 32) <= MAX_TERMS < C(4 + 32, 32)
+        xyz = ["x", "y", "z"]
+        assert len(parse_polynomial("((x + y)*(x - y) + z^2)^32", xyz).terms) == 561
+        with pytest.raises(ParseError, match=str(MAX_TERMS)):
+            parse_polynomial("((x + y)*(x - y) + z^2 + x*z)^32", xyz)
+
     def test_term_cap(self):
         names = [f"x{i}" for i in range(8)]
         with pytest.raises(ParseError, match=str(MAX_TERMS)):
@@ -109,6 +270,31 @@ class TestInputCaps:
         path = tmp_path / "huge.txt"
         path.write_text("ring x, y\nideal: x^100000000\n")
         code, out, err = run(capsys, "hilbert", str(path))
+        assert (code, out) == (1, "")
+        assert "exceeds the cap" in err
+
+    def test_degree_bound_cap(self, tmp_path, capsys):
+        path = tmp_path / "conic.txt"
+        path.write_text(CONIC_DOC)
+        argv = ("flat-limit", str(path), "--check", "--degree-bound", str(MAX_DEGREE + 1))
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert "exceeds the cap" in err
+
+    def test_point_work_cap(self, tmp_path, capsys):
+        def points_doc(n: int, k: int) -> str:
+            ring = ", ".join(f"x{i}" for i in range(k))
+            pts = "; ".join(f"({','.join(str((p + 1) ** i) for i in range(k))})" for p in range(n))
+            return f"ring {ring}\npoints: {pts}\n"
+
+        # 12 points in P^4: 12 * (C(12,1) + ... + C(12,4)) = 9516
+        assert len(parse_document(points_doc(12, 5)).points) == 12
+        # 14 points in P^5: 14 * (C(14,1) + ... + C(14,5)) = 48608
+        with pytest.raises(ParseError, match=f"48608 exceeds the cap of {MAX_POINT_WORK}"):
+            parse_document(points_doc(14, 6))
+        path = tmp_path / "points.txt"
+        path.write_text(points_doc(14, 6))
+        code, out, err = run(capsys, "chow-points", str(path))
         assert (code, out) == (1, "")
         assert "exceeds the cap" in err
 
@@ -287,3 +473,40 @@ def test_flag_pipeline_runs_without_the_degreewise_oracle(tmp_path, capsys, monk
     for argv, (code, out, err) in zip(runs, expected):
         assert code == 0, argv
         assert run(capsys, *argv) == (code, out, err)
+
+
+def test_parser_builds_no_intermediate_polynomials(monkeypatch):
+    """parse_document does its arithmetic on term dicts: with Polynomial
+    arithmetic rebound to raise it gives the same documents."""
+    texts = [CONIC_DOC, *_flag_corpus_docs()]
+    expected = [parse_document(t) for t in texts]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Polynomial arithmetic reached")
+
+    for op in ("add", "sub", "neg", "mul", "pow", "radd", "rsub", "rmul"):
+        monkeypatch.setattr(Polynomial, f"__{op}__", refuse)
+    assert [parse_document(t) for t in texts] == expected
+
+
+def test_main_reuses_one_argument_parser(tmp_path, capsys, monkeypatch):
+    """main builds no ArgumentParser, and one call's options do not reach
+    the next: after flat-limit --check, plain flat-limit prints what a
+    fresh process prints."""
+    path = tmp_path / "conic.txt"
+    path.write_text(CONIC_DOC)
+    src = str(Path(flagstab.__file__).resolve().parents[1])
+    fresh = subprocess.run(
+        [sys.executable, "-m", "flagstab.cli", "flat-limit", str(path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+    )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ArgumentParser built")
+
+    monkeypatch.setattr(argparse, "ArgumentParser", refuse)
+    assert run(capsys, "flat-limit", str(path), "--check")[0] == 0
+    assert run(capsys, "flat-limit", str(path)) == (0, fresh.stdout, "")
