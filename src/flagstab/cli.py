@@ -1,5 +1,5 @@
-"""Command-line front end: a small line-oriented input format, command
-dispatch onto the library, and deterministic JSON/text output.
+"""Command-line front end: a small line-oriented input format, a table
+mapping each command onto the library, and deterministic JSON/text output.
 
 Exit codes: 0 computed (even when a verdict is negative), 1 input error,
 2 inconclusive verdict, 3 a `--check` cross-check failed.
@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from math import comb
 from operator import add
@@ -18,7 +18,9 @@ from operator import add
 from . import __version__
 from .flags import (
     FlagLimitMismatch,
+    FlagValidationReport,
     HyperplanarFlag,
+    StabilityReport,
     check_flag_stability,
     degree_admissible,
     flag_limit,
@@ -26,11 +28,19 @@ from .flags import (
     nrgit_stage_check,
     validate_flag,
 )
-from .geometry import Splitting, flat_limit, flat_limit_oracle, join_ideal, verify_limit_is_join
+from .geometry import (
+    JoinCheckReport,
+    Splitting,
+    flat_limit,
+    flat_limit_oracle,
+    join_ideal,
+    verify_limit_is_join,
+)
 from .groebner import buchberger, canonical_generators, ideal_equal, restrict_to_variables
 from .hilbert import (
     InternalLimitError,
     PointConfiguration,
+    StabilityVerdict,
     chow_points_stability,
     chow_weight_numeric,
     hilbert_data,
@@ -45,23 +55,6 @@ from .poly import (
     TermOrder,
     weight_order,
 )
-
-COMMANDS = (
-    "gb",
-    "flat-limit",
-    "hilbert",
-    "chow-weight",
-    "chow-points",
-    "join",
-    "verify-limit-join",
-    "grading",
-    "flag-validate",
-    "flag-limit",
-    "flag-weight",
-    "flag-check",
-    "admissible",
-)
-
 
 # Caps on input size: past them an input is refused as an input error
 # rather than left to exhaust memory in the parser or the computations.
@@ -308,7 +301,8 @@ def parse_document(text: str) -> InputDocument:
         elif key == "ideal":
             if not doc.names:
                 raise ParseError("ideal section before ring declaration", lineno, 1)
-            col = raw.index(body) + 1 if body else 1
+            after = raw[raw.index(":") + 1 :]
+            col = len(raw) - len(after.lstrip()) + 1  # the body's first column
             for gen_text in body.split(";"):
                 if gen_text.strip():
                     doc.ideal_gens.append(
@@ -375,11 +369,27 @@ def fmt_q(x) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
-def _poly_strings(ideal: HomogeneousIdeal, names, order: TermOrder) -> list[str]:
-    gens = sorted(
-        ideal.generators, key=lambda g: (g.degree(), order.key(g.leading(order)[0]))
-    )
-    return [g.to_str(names, order) for g in gens]
+def _plain(value, names: list[str], order: TermOrder):
+    """`value` in JSON types: a Fraction as `fmt_q`, a polynomial as its
+    string, a tuple as a list, dict keys as strings, an ideal as its
+    generators sorted under `order` and a dataclass as the dict of its
+    fields."""
+    if value is None or isinstance(value, (str, int)):  # most values; bool is an int
+        return value
+    if isinstance(value, Fraction):
+        return fmt_q(value)
+    if isinstance(value, Polynomial):
+        return value.to_str(names, order)
+    if isinstance(value, dict):
+        return {str(k): _plain(v, names, order) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v, names, order) for v in value]
+    if isinstance(value, HomogeneousIdeal):
+        gens = sorted(
+            value.generators, key=lambda g: (g.degree(), order.key(g.leading(order)[0]))
+        )
+        return _plain(gens, names, order)
+    return _plain({f.name: getattr(value, f.name) for f in fields(value)}, names, order)
 
 
 def _doc_order(doc: InputDocument) -> TermOrder:
@@ -410,7 +420,10 @@ def render(out: dict, mode: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-# -- command implementations ------------------------------------------
+# -- commands ------------------------------------------------------------
+#
+# Each handler takes a document holding every section its command needs
+# and returns the results in any form `_plain` accepts.
 
 
 def _require(condition: bool, message: str) -> None:
@@ -419,13 +432,10 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _ideal(doc: InputDocument) -> HomogeneousIdeal:
-    _require(bool(doc.names), "a ring declaration is required")
-    _require(bool(doc.ideal_gens), "an ideal section is required")
     return HomogeneousIdeal(len(doc.names), doc.ideal_gens)
 
 
 def _weights(doc: InputDocument) -> OnePS:
-    _require(doc.weights is not None, "a weights section is required")
     _require(
         len(doc.weights) == len(doc.names),
         f"{len(doc.weights)} weights for {len(doc.names)} variables",
@@ -434,7 +444,6 @@ def _weights(doc: InputDocument) -> OnePS:
 
 
 def _splitting(doc: InputDocument) -> Splitting:
-    _require(doc.usplit is not None, "a usplit section is required")
     index = {n: i for i, n in enumerate(doc.names)}
     for n in doc.usplit:
         _require(n in index, f"undeclared variable '{n}' in usplit")
@@ -443,202 +452,179 @@ def _splitting(doc: InputDocument) -> Splitting:
     return Splitting(len(doc.names), u, w)
 
 
-def _grading(doc: InputDocument) -> GradedOnePS:
-    _require(doc.beta is not None and doc.mults is not None, "beta and mults required")
-    return GradedOnePS(tuple(doc.beta), tuple(doc.mults))
+def _grading(doc: InputDocument) -> GradedOnePS | None:
+    """The document's graded 1PS; None where it has no `beta:` section."""
+    return None if doc.beta is None else GradedOnePS(tuple(doc.beta), tuple(doc.mults))
 
 
 def _flag(doc: InputDocument) -> HyperplanarFlag:
-    _require("n" in doc.flag_params, "flag parameter n is required")
-    n = doc.flag_params["n"]
     pts = None
     if doc.points is not None:
         pts = PointConfiguration.from_coords(doc.points)
-    return HyperplanarFlag(n, len(doc.names), _ideal(doc), pts)
+    return HyperplanarFlag(doc.flag_params["n"], len(doc.names), _ideal(doc), pts)
 
 
 def _stage(doc: InputDocument, n: int) -> int:
-    _require(doc.stage is not None, "a stage section is required")
     _require(1 <= doc.stage <= n, f"stage must be between 1 and {n}")
     return doc.stage
 
 
+def _gb(doc: InputDocument, args) -> dict:
+    return {"basis": buchberger(_ideal(doc), _doc_order(doc)).basis}
+
+
+def _flat_limit(doc: InputDocument, args) -> dict:
+    ideal, lam = _ideal(doc), _weights(doc)
+    limit = flat_limit(ideal, lam)
+    if args.check:
+        bound = args.degree_bound
+        if bound is None:
+            bound = max(6, ideal.max_generator_degree())
+        if not ideal_equal(limit, flat_limit_oracle(ideal, lam, bound)):
+            raise InternalLimitError("flat limit disagrees with the degreewise oracle")
+    return {"generators": limit}
+
+
+def _hilbert(doc: InputDocument, args) -> dict:
+    hd = hilbert_data(_ideal(doc))
+    return {
+        "dimension": hd.dimension,
+        "degree": hd.degree,
+        "stabilization_degree": hd.stabilization_degree,
+        "hilbert_polynomial": hd.coefficients,
+        "hilbert_function": hd.hilbert_function,
+    }
+
+
+def _chow_weight(doc: InputDocument, args) -> dict:
+    return {"chow_weight": chow_weight_numeric(_ideal(doc), _weights(doc))}
+
+
+def _chow_points(doc: InputDocument, args) -> StabilityVerdict:
+    return chow_points_stability(PointConfiguration.from_coords(doc.points))
+
+
+def _join(doc: InputDocument, args) -> dict:
+    split, ideal = _splitting(doc), _ideal(doc)
+    for g in ideal.generators:
+        _require(
+            g.variables_used() <= set(split.w_vars),
+            "join generators must only use W-variables",
+        )
+    y = restrict_to_variables(ideal, split.w_vars)
+    return {"generators": canonical_generators(join_ideal(y, split))}
+
+
+def _verify_limit_join(doc: InputDocument, args) -> JoinCheckReport:
+    return verify_limit_is_join(_ideal(doc), _splitting(doc), *doc.ab)
+
+
+def _grading_stages(doc: InputDocument, args) -> dict:
+    g = _grading(doc)
+    stages = [doc.stage] if doc.stage is not None else range(1, g.ell)
+    per_stage = {}
+    for i in stages:
+        sd = stage_data(g, i)
+        per_stage[i] = {
+            "beta_le": sd.beta_le,
+            "beta_gt": sd.beta_gt,
+            "scale": sd.scale,
+            "lambda_bracket": sd.lambda_bracket.weights,
+            "lambda_paren": sd.lambda_paren.weights,
+        }
+    return {"expanded": g.expand(), "stages": per_stage}
+
+
+def _admissible(doc: InputDocument, args) -> dict:
+    p = doc.flag_params
+    adm = degree_admissible(p["n"], p["d"], p["dimv"])
+    return {"admissible": adm.ok, "reasons": adm.reasons, "excluded_degrees": adm.excluded}
+
+
+def _flag_validate(doc: InputDocument, args) -> FlagValidationReport:
+    return validate_flag(_flag(doc))
+
+
+def _flag_limit(doc: InputDocument, args) -> dict:
+    flag = _flag(doc)
+    limit = flag_limit(flag, _stage(doc, flag.n), _grading(doc), check=args.check)
+    return {"strata": limit.strata}
+
+
+def _flag_weight(doc: InputDocument, args) -> dict:
+    p, g = doc.flag_params, _grading(doc)
+    i = _stage(doc, p["n"])
+    weight = flag_stage_weight(p["n"], p["d"], g, i, p["a0"])
+    return {"weight": weight, "scale": stage_data(g, i).scale}
+
+
+def _flag_check(doc: InputDocument, args) -> StabilityReport:
+    flag, g, a0 = _flag(doc), _grading(doc), doc.flag_params.get("a0")
+    if doc.stage is None:
+        return check_flag_stability(flag, g, a0, check=args.check)
+    stage = nrgit_stage_check(flag, doc.stage, g, a0, check=args.check)
+    verdict = {True: "stable", None: "inconclusive", False: "unstable"}[stage.passed]
+    return StabilityReport((stage,), verdict)
+
+
+# command -> (the sections it needs, its handler). "mults if beta" needs
+# `mults:` only in a document with `beta:`: flag-limit and flag-check read
+# a grading where one is given, and a grading takes both sections.
+COMMANDS = {
+    "gb": (("ring", "ideal"), _gb),
+    "flat-limit": (("ring", "ideal", "weights"), _flat_limit),
+    "hilbert": (("ring", "ideal"), _hilbert),
+    "chow-weight": (("ring", "ideal", "weights"), _chow_weight),
+    "chow-points": (("points",), _chow_points),
+    "join": (("ring", "ideal", "usplit"), _join),
+    "verify-limit-join": (("ring", "ideal", "usplit", "ab"), _verify_limit_join),
+    "grading": (("beta", "mults"), _grading_stages),
+    "flag-validate": (("ring", "ideal", "flag: n="), _flag_validate),
+    "flag-limit": (("ring", "ideal", "flag: n=", "stage", "mults if beta"), _flag_limit),
+    "flag-weight": (
+        ("flag: n=", "flag: d=", "flag: a0=", "beta", "mults", "stage"),
+        _flag_weight,
+    ),
+    "flag-check": (("ring", "ideal", "flag: n=", "mults if beta"), _flag_check),
+    "admissible": (("flag: n=", "flag: d=", "flag: dimv="), _admissible),
+}
+
+# InputDocument fields whose input key has another name.
+_SECTION_KEYS = {"names": "ring", "ideal_gens": "ideal", "flag_params": "flag"}
+
+
+def _sections(doc: InputDocument) -> dict:
+    """{input key: value} for every section the document sets, that is,
+    every field but `command` that differs from its default."""
+    blank = vars(InputDocument())
+    return {
+        _SECTION_KEYS.get(name, name): value
+        for name, value in vars(doc).items()
+        if name != "command" and value != blank[name]
+    }
+
+
 def run_command(command: str, doc: InputDocument, args) -> tuple[dict, int]:
-    """Execute one command; returns (results, exit_code)."""
-    order = _doc_order(doc)
-    names = doc.names
-    code = 0
-    if command == "gb":
-        gb = buchberger(_ideal(doc), order)
-        results = {"basis": [g.to_str(names, order) for g in gb.basis]}
-    elif command == "flat-limit":
-        ideal, lam = _ideal(doc), _weights(doc)
-        limit = flat_limit(ideal, lam)
-        if args.check:
-            bound = args.degree_bound or max(6, ideal.max_generator_degree())
-            oracle = flat_limit_oracle(ideal, lam, bound)
-            if not ideal_equal(limit, oracle):
-                raise InternalLimitError("flat limit disagrees with the degreewise oracle")
-        results = {"generators": _poly_strings(limit, names, order)}
-    elif command == "hilbert":
-        hd = hilbert_data(_ideal(doc))
-        results = {
-            "dimension": hd.dimension,
-            "degree": hd.degree,
-            "stabilization_degree": hd.stabilization_degree,
-            "hilbert_polynomial": [fmt_q(c) for c in hd.coefficients],
-            "hilbert_function": {str(m): v for m, v in hd.hilbert_function.items()},
-        }
-    elif command == "chow-weight":
-        results = {"chow_weight": fmt_q(chow_weight_numeric(_ideal(doc), _weights(doc)))}
-    elif command == "chow-points":
-        _require(doc.points is not None, "a points section is required")
-        verdict = chow_points_stability(PointConfiguration.from_coords(doc.points))
-        results = {
-            "verdict": verdict.verdict,
-            "witness_indices": list(verdict.witness_indices),
-            "witness_dim": verdict.witness_dim,
-            "witness_count": verdict.witness_count,
-            "margin": fmt_q(verdict.margin),
-        }
-    elif command == "join":
-        split = _splitting(doc)
-        ideal = _ideal(doc)
-        for g in ideal.generators:
-            _require(
-                g.variables_used() <= set(split.w_vars),
-                "join generators must only use W-variables",
-            )
-        y = restrict_to_variables(ideal, split.w_vars)
-        joined = canonical_generators(join_ideal(y, split))
-        results = {"generators": _poly_strings(joined, names, order)}
-    elif command == "verify-limit-join":
-        _require(doc.ab is not None, "an ab section is required")
-        a, b = doc.ab
-        report = verify_limit_is_join(_ideal(doc), _splitting(doc), a, b)
-        results = {
-            "ok": report.ok,
-            "dominant": report.dominant,
-            "reason": report.reason,
-            "limit": _poly_strings(report.limit, names, order) if report.limit else None,
-            "join": _poly_strings(report.join, names, order) if report.join else None,
-        }
-    elif command == "grading":
-        g = _grading(doc)
-        stages = [doc.stage] if doc.stage is not None else list(range(1, g.ell))
-        per_stage = {}
-        for i in stages:
-            sd = stage_data(g, i)
-            per_stage[str(i)] = {
-                "beta_le": fmt_q(sd.beta_le),
-                "beta_gt": fmt_q(sd.beta_gt),
-                "scale": sd.scale,
-                "lambda_bracket": list(sd.lambda_bracket.weights),
-                "lambda_paren": list(sd.lambda_paren.weights),
-            }
-        results = {"expanded": list(g.expand()), "stages": per_stage}
-    elif command == "admissible":
-        for k in ("n", "d", "dimv"):
-            _require(k in doc.flag_params, f"flag parameter {k} is required")
-        adm = degree_admissible(
-            doc.flag_params["n"], doc.flag_params["d"], doc.flag_params["dimv"]
-        )
-        results = {
-            "admissible": adm.ok,
-            "reasons": list(adm.reasons),
-            "excluded_degrees": [fmt_q(e) for e in adm.excluded],
-        }
-    elif command == "flag-validate":
-        report = validate_flag(_flag(doc))
-        results = {
-            "degree": report.degree,
-            "dimensions_ok": report.dimensions_ok,
-            "nondegenerate": report.nondegenerate,
-            "smooth": {str(i): v for i, v in report.smooth.items()},
-            "points_reduced": report.points_reduced,
-            "point_stability": report.point_stability,
-            "connectedness": report.connectedness,
-            "hilbert_type": [[fmt_q(c) for c in hp] for hp in report.hilbert_type],
-            "ok": report.ok,
-        }
-        if report.ok is None:
-            code = 2
-    elif command == "flag-limit":
-        flag = _flag(doc)
-        i = _stage(doc, flag.n)
-        g = _grading(doc) if doc.beta is not None else None
-        limit = flag_limit(flag, i, g, check=args.check)
-        results = {
-            "strata": [_poly_strings(s, names, order) for s in limit.strata]
-        }
-    elif command == "flag-weight":
-        for k in ("n", "d", "a0"):
-            _require(k in doc.flag_params, f"flag parameter {k} is required")
-        g = _grading(doc)
-        i = _stage(doc, doc.flag_params["n"])
-        w = flag_stage_weight(
-            doc.flag_params["n"], doc.flag_params["d"], g, i, doc.flag_params["a0"]
-        )
-        results = {"weight": fmt_q(w), "scale": stage_data(g, i).scale}
-    elif command == "flag-check":
-        flag = _flag(doc)
-        g = _grading(doc) if doc.beta is not None else None
-        a0 = doc.flag_params.get("a0")
-        if doc.stage is not None:
-            checks = [nrgit_stage_check(flag, doc.stage, g, a0, check=args.check)]
-            verdict = (
-                "stable"
-                if checks[0].passed
-                else ("inconclusive" if checks[0].passed is None else "unstable")
-            )
-        else:
-            report = check_flag_stability(flag, g, a0, check=args.check)
-            checks, verdict = list(report.stages), report.verdict
-        results = {
-            "verdict": verdict,
-            "stages": [
-                {
-                    "stage": c.stage,
-                    "weight": fmt_q(c.weight),
-                    "expected_weight": fmt_q(c.expected_weight),
-                    "weight_matches_family_constant": c.weight_matches_family_constant,
-                    "lie_stabilizer_dim": c.lie_stabilizer_dim,
-                    "point_stability": c.point_stability,
-                    "sweep_excluded": c.sweep_excluded,
-                    "passed": c.passed,
-                }
-                for c in checks
-            ],
-        }
-        if verdict == "inconclusive":
-            code = 2
-    else:
-        raise ValueError(f"unknown command '{command}'")
-    return results, code
+    """Execute one command; returns (results, exit_code). Exit code 2
+    marks an inconclusive answer: a `verdict` of "inconclusive" or an
+    `ok` of None."""
+    needs, handler = COMMANDS[command]
+    present = {*_sections(doc), *(f"flag: {k}=" for k in doc.flag_params)}
+    missing = [
+        need
+        for need, _, given in (n.partition(" if ") for n in needs)
+        if need not in present and (not given or given in present)
+    ]
+    if missing:
+        raise ValueError(f"command '{command}' is missing " + ", ".join(f"'{s}'" for s in missing))
+    results = _plain(handler(doc, args), doc.names, _doc_order(doc))
+    inconclusive = results.get("verdict") == "inconclusive" or results.get("ok", False) is None
+    return results, 2 if inconclusive else 0
 
 
 def _echo(doc: InputDocument) -> dict:
-    order = _doc_order(doc)
-    echo: dict = {"ring": list(doc.names)}
-    if doc.ideal_gens:
-        echo["ideal"] = [g.to_str(doc.names, order) for g in doc.ideal_gens]
-    if doc.weights is not None:
-        echo["weights"] = list(doc.weights)
-    if doc.usplit is not None:
-        echo["usplit"] = list(doc.usplit)
-    if doc.ab is not None:
-        echo["ab"] = list(doc.ab)
-    if doc.points is not None:
-        echo["points"] = [[fmt_q(c) for c in p] for p in doc.points]
-    if doc.flag_params:
-        echo["flag"] = dict(sorted(doc.flag_params.items()))
-    if doc.beta is not None:
-        echo["beta"] = list(doc.beta)
-    if doc.mults is not None:
-        echo["mults"] = list(doc.mults)
-    if doc.stage is not None:
-        echo["stage"] = doc.stage
-    return echo
+    """The ring and every other section the document sets."""
+    return {"ring": list(doc.names), **_plain(_sections(doc), doc.names, _doc_order(doc))}
 
 
 def run_file(command: str | None, path: str, args) -> tuple[dict, int]:
@@ -663,7 +649,7 @@ _PARSER = argparse.ArgumentParser(
     prog="flagstab",
     description="Exact flat limits, Chow weights and staged stability checks.",
 )
-_PARSER.add_argument("command", choices=COMMANDS + ("batch",))
+_PARSER.add_argument("command", choices=(*COMMANDS, "batch"))
 _PARSER.add_argument("files", nargs="+", metavar="FILE")
 _PARSER.add_argument("--check", action="store_true", help="enable cross-checks")
 _PARSER.add_argument("--degree-bound", type=int, default=None)

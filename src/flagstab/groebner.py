@@ -125,7 +125,6 @@ def _divide(work: dict[Monomial, int], divisors: list, keys: _OrderKeys) -> tupl
 class GroebnerBasis:
     basis: tuple[Polynomial, ...]
     order: TermOrder
-    reduced: bool = True
 
     def leading_monomials(self) -> list[Monomial]:
         return [g.leading(self.order)[0] for g in self.basis]
@@ -211,9 +210,7 @@ def _interreduce(basis: list[tuple], leads: list[Monomial], keys: _OrderKeys) ->
     return out
 
 
-def eliminate(
-    ideal: HomogeneousIdeal, keep, weights: tuple[int, ...] | None = None
-) -> HomogeneousIdeal:
+def eliminate(ideal: HomogeneousIdeal, keep) -> HomogeneousIdeal:
     """Generators of the intersection with the subring in the kept variables.
 
     Uses a two-block order making the dropped variables largest; the
@@ -225,8 +222,7 @@ def eliminate(
     dropped = tuple(i for i in range(ideal.nvars) if i not in keep)
     if not dropped:
         return ideal
-    order = TermOrder(weights=weights, dropped=dropped)
-    gb = buchberger(ideal, order)
+    gb = buchberger(ideal, TermOrder(dropped=dropped))
     gens = [g for g in gb.basis if g.variables_used() <= keep]
     return HomogeneousIdeal(ideal.nvars, gens)
 

@@ -23,10 +23,6 @@ class DimensionError(ValueError):
     """Lengths of monomials / weight vectors / rings do not match."""
 
 
-def monomial_degree(m: Monomial) -> int:
-    return sum(m)
-
-
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
 
@@ -255,11 +251,12 @@ class Polynomial:
             raise ValueError("exponent must be a nonnegative integer")
         out = Polynomial.constant(self.nvars, 1)
         base = self
-        while k:
+        while k:  # square and multiply; no square after the last bit
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     def __eq__(self, other):

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import flagstab
 from flagstab import Polynomial, groebner
 from flagstab.cli import (
+    COMMANDS,
     MAX_DEGREE,
     MAX_EXPONENT,
     MAX_POINT_WORK,
@@ -200,6 +201,11 @@ def test_parse_error_text(text, nvars, line, col0, message):
             "ring x, y\n\nideal:  x^2 ;  x*)\n",
             "line 3, column 18: expected a number, variable or '('",
         ),
+        # the body's first column counts from the colon, not from the
+        # first match of the body's text, which may lie inside the key
+        ("ring x\nideal: )\n", "line 2, column 8: expected a number, variable or '('"),
+        ("ring x\nideal: a\n", "line 2, column 9: undeclared variable 'a'"),
+        ("ring x\nideal:    a\n", "line 2, column 12: undeclared variable 'a'"),
     ],
 )
 def test_document_error_columns(text, message):
@@ -280,6 +286,17 @@ class TestInputCaps:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "")
         assert "exceeds the cap" in err
+
+    def test_degree_bound_below_the_generators(self, tmp_path, capsys):
+        """A bound of 0 is checked as any other bound, not replaced by the
+        default: below the conic's degree 2 it is refused, as 1 is."""
+        path = tmp_path / "conic.txt"
+        path.write_text(CONIC_DOC)
+        for bound in ("0", "1"):
+            argv = ("flat-limit", str(path), "--check", "--degree-bound", bound)
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (1, "")
+            assert "degree bound below the maximum generator degree" in err
 
     def test_point_work_cap(self, tmp_path, capsys):
         def points_doc(n: int, k: int) -> str:
@@ -409,6 +426,65 @@ class TestExitCodes:
         )
         code, out, _ = run(capsys, "flag-validate", str(path))
         assert code == 2
+
+
+FLAG_HEAD = "ring x, y, v1\nideal: x^2*y + x*y^2 + v1^3\n"
+
+# (command, document, the sections its error names): every command once,
+# and a `beta:` without `mults:`, which is refused, not read as no grading.
+MISSING_SECTIONS = [
+    ("gb", "ring x, y\n", ["ideal"]),
+    ("flat-limit", "ring x, y\nideal: x*y\n", ["weights"]),
+    ("hilbert", "", ["ring", "ideal"]),
+    ("chow-weight", "ring x, y\nideal: x*y\n", ["weights"]),
+    ("chow-points", "ring x, y\n", ["points"]),
+    ("join", "ring x, y, u\nideal: x*y\n", ["usplit"]),
+    ("verify-limit-join", "ring x, y, u\nideal: x*y\nusplit: u\n", ["ab"]),
+    ("grading", "beta: 1, -1\n", ["mults"]),
+    ("admissible", "flag: n=1 d=3\n", ["flag: dimv="]),
+    ("flag-validate", "flag: n=1\n", ["ring", "ideal"]),
+    ("flag-limit", FLAG_HEAD + "flag: n=1\nstage: 1\nbeta: 1, -2\n", ["mults"]),
+    ("flag-weight", "flag: n=1 d=3\nbeta: 1, -2\nmults: 2, 1\n", ["flag: a0=", "stage"]),
+    ("flag-check", FLAG_HEAD + "flag: n=1\nbeta: 1, -2\n", ["mults"]),
+    ("flag-check", FLAG_HEAD + "mults: 2, 1\n", ["flag: n="]),
+]
+
+
+@pytest.mark.parametrize("command, text, missing", MISSING_SECTIONS)
+def test_missing_sections(tmp_path, capsys, command, text, missing):
+    path = tmp_path / "doc.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out) == (1, "")
+    named = ", ".join(f"'{s}'" for s in missing)
+    assert err == f"flagstab: error: command '{command}' is missing {named}\n"
+
+
+def test_missing_sections_cover_every_command():
+    assert {command for command, _, _ in MISSING_SECTIONS} == set(COMMANDS)
+
+
+# One document per command, plus the inconclusive flag-validate path and
+# a single-stage flag-check. Beside each are the json and text stdout the
+# CLI printed for it before its commands became one table (recorded at
+# commit 0988743). Reports are serialised by their dataclass field names,
+# so these files also pin those names.
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_DOCS = sorted(GOLDEN.glob("*.in"))
+GOLDEN_EXIT = {"flag-validate-inconclusive": 2}
+
+
+@pytest.mark.parametrize("mode", ["json", "text"])
+@pytest.mark.parametrize("doc", GOLDEN_DOCS, ids=lambda p: p.stem)
+def test_golden_stdout(capsys, doc, mode):
+    command = parse_document(doc.read_text()).command
+    code, out, err = run(capsys, command, str(doc), "--output", mode)
+    assert (out, err) == (doc.with_suffix(f".{mode}").read_text(), "")
+    assert code == GOLDEN_EXIT.get(doc.stem, 0)
+
+
+def test_golden_documents_cover_every_command():
+    assert {parse_document(p.read_text()).command for p in GOLDEN_DOCS} == set(COMMANDS)
 
 
 class TestDeterminism:

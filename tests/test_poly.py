@@ -131,6 +131,27 @@ def test_homogeneity_closure(c1, c2):
     assert (f ** 2).is_homogeneous
 
 
+@pytest.mark.parametrize("k, products", [(0, 0), (1, 1), (2, 2), (5, 4), (32, 6), (33, 7)])
+def test_power_by_squaring(monkeypatch, k, products):
+    """f**k squares once per bit after the first and multiplies once per
+    set bit, with no square past the highest bit: f**32 never builds f**64."""
+    f = V(2, 0) + 2 * V(2, 1)
+    expected = Polynomial.constant(2, 1)
+    for _ in range(k):
+        expected = expected * f
+    count = 0
+    multiply = Polynomial.__mul__
+
+    def counted(self, other):
+        nonlocal count
+        count += 1
+        return multiply(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    assert f**k == expected
+    assert count == products
+
+
 @settings(deadline=None, max_examples=100)
 @given(p=st.integers(-50, 50), q=st.integers(1, 50))
 def test_scalar_exactness(p, q):
