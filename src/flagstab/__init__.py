@@ -23,6 +23,7 @@ from .groebner import (
     contains_oracle,
     degree_dimension,
     eliminate,
+    gb_memo,
     ideal_equal,
     normal_form,
     restrict_to_variables,

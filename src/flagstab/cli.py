@@ -36,7 +36,13 @@ from .geometry import (
     join_ideal,
     verify_limit_is_join,
 )
-from .groebner import buchberger, canonical_generators, ideal_equal, restrict_to_variables
+from .groebner import (
+    buchberger,
+    canonical_generators,
+    gb_memo,
+    ideal_equal,
+    restrict_to_variables,
+)
 from .hilbert import (
     InternalLimitError,
     PointConfiguration,
@@ -346,6 +352,8 @@ def parse_document(text: str) -> InputDocument:
                 k, v = piece.split("=", 1)
                 if k not in ("n", "d", "a0", "dimv"):
                     raise ParseError(f"unknown flag parameter '{k}'", lineno, 1)
+                if k in doc.flag_params:
+                    raise ParseError(f"repeated flag parameter '{k}'", lineno, 1)
                 try:
                     doc.flag_params[k] = int(v)
                 except ValueError:
@@ -355,7 +363,10 @@ def parse_document(text: str) -> InputDocument:
         elif key == "mults":
             doc.mults = _ints(body, lineno)
         elif key == "stage":
-            doc.stage = _ints(body, lineno)[0]
+            vals = _ints(body, lineno)
+            if len(vals) != 1:
+                raise ParseError("stage needs exactly one integer", lineno, 1)
+            doc.stage = vals[0]
         else:
             raise ParseError(f"unknown section '{key}'", lineno, 1)
     return doc
@@ -617,7 +628,9 @@ def run_command(command: str, doc: InputDocument, args) -> tuple[dict, int]:
     ]
     if missing:
         raise ValueError(f"command '{command}' is missing " + ", ".join(f"'{s}'" for s in missing))
-    results = _plain(handler(doc, args), doc.names, _doc_order(doc))
+    with gb_memo():  # one command's Groebner bases, computed once each
+        value = handler(doc, args)
+    results = _plain(value, doc.names, _doc_order(doc))
     inconclusive = results.get("verdict") == "inconclusive" or results.get("ok", False) is None
     return results, 2 if inconclusive else 0
 

@@ -215,20 +215,19 @@ class FlagValidationReport:
 
 def validate_flag(flag: HyperplanarFlag) -> FlagValidationReport:
     """Check the defining predicates of an admissible flag stratumwise."""
-    data = [hilbert_data(flag.stratum_subring_ideal(i)) for i in range(flag.n + 1)]
+    strata = [flag.stratum_subring_ideal(i) for i in range(flag.n + 1)]
+    data = [hilbert_data(ideal) for ideal in strata]
     degree = data[-1].degree
     dimensions_ok = all(hd.dimension == i for i, hd in enumerate(data)) and all(
         hd.degree == degree for hd in data
     )
-    nondeg = all(
-        is_nondegenerate(flag.stratum_subring_ideal(i)) for i in range(flag.n + 1)
-    )
+    nondeg = all(is_nondegenerate(ideal) for ideal in strata)
     smooth: dict[int, bool] = {}
     for i in range(1, flag.n + 1):
         if data[i].dimension != i:
             smooth[i] = False
             continue
-        smooth[i] = singular_locus_empty(flag.stratum_subring_ideal(i), i)
+        smooth[i] = singular_locus_empty(strata[i], i)
 
     points_reduced: bool | None = None
     point_stability: str | None = None
@@ -236,9 +235,8 @@ def validate_flag(flag: HyperplanarFlag) -> FlagValidationReport:
         points_reduced = False
     elif flag.points0 is not None:
         pts = flag.points0
-        ideal0 = flag.stratum_subring_ideal(0)
         on_scheme = all(
-            g.evaluate(p) == 0 for g in ideal0.generators for p in pts.points
+            g.evaluate(p) == 0 for g in strata[0].generators for p in pts.points
         )
         distinct = len(set(pts.points)) == pts.length
         points_reduced = on_scheme and distinct and pts.length == degree

@@ -2,6 +2,10 @@
 one fraction-free division kernel; elimination; and the degreewise
 linear-algebra membership oracle.
 
+Inside a `gb_memo()` block `buchberger` computes each (ideal, order)
+basis once; the CLI opens one block per command. Outside one it keeps
+no state.
+
 The membership oracle is deliberately independent of Buchberger: for a
 homogeneous ideal and a degree d it spans I_d by monomial multiples of
 the generators and row-reduces. The test suite uses it as ground truth
@@ -10,6 +14,8 @@ for everything the Groebner machinery computes.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -136,7 +142,34 @@ class GroebnerBasis:
         return self.reduce(f).is_zero
 
 
+# {(ideal, order): reduced basis} of the innermost `gb_memo()` block
+_MEMO: ContextVar[dict | None] = ContextVar("gb_memo", default=None)
+
+
+@contextmanager
+def gb_memo():
+    """Within the block, `buchberger` computes each (ideal, order) basis
+    once and returns that basis on every later call with equal arguments."""
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
 def buchberger(ideal: HomogeneousIdeal, order: TermOrder = GRLEX) -> GroebnerBasis:
+    """Reduced Groebner basis of the ideal under the given order, looked
+    up in the active `gb_memo()` block, if any, before it is computed."""
+    memo = _MEMO.get()
+    if memo is None:
+        return _buchberger(ideal, order)
+    gb = memo.get((ideal, order))
+    if gb is None:
+        gb = memo[ideal, order] = _buchberger(ideal, order)
+    return gb
+
+
+def _buchberger(ideal: HomogeneousIdeal, order: TermOrder) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal under the given order.
 
     Pairs are pruned by the Gebauer-Moeller criteria ("On an installation

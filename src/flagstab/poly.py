@@ -391,7 +391,7 @@ class HomogeneousIdeal:
     by (degree, leading monomial) so equal generating sets compare equal.
     """
 
-    __slots__ = ("nvars", "generators")
+    __slots__ = ("nvars", "generators", "_hash")
 
     def __init__(self, nvars: int, generators=()):
         gens = []
@@ -406,6 +406,7 @@ class HomogeneousIdeal:
         uniq = sorted(set(gens), key=_generator_sort_key)
         self.nvars = nvars
         self.generators = tuple(uniq)
+        self._hash = None
 
     @property
     def is_zero(self) -> bool:
@@ -422,7 +423,11 @@ class HomogeneousIdeal:
         )
 
     def __hash__(self):
-        return hash((self.nvars, self.generators))
+        # computed once: hashing every generator's terms is what a lookup
+        # keyed by the ideal would otherwise repeat
+        if self._hash is None:
+            self._hash = hash((self.nvars, self.generators))
+        return self._hash
 
     def __repr__(self):
         gens = ", ".join(g.to_str() for g in self.generators)

@@ -1,6 +1,7 @@
 """The textual front end: parsing, dispatch, output and exit codes."""
 
 import argparse
+import contextlib
 import json
 import os
 import subprocess
@@ -14,7 +15,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import flagstab
-from flagstab import Polynomial, groebner
+from flagstab import (
+    GradedOnePS,
+    Polynomial,
+    buchberger,
+    check_flag_stability,
+    cli,
+    gb_memo,
+    groebner,
+    validate_flag,
+)
 from flagstab.cli import (
     COMMANDS,
     MAX_DEGREE,
@@ -28,7 +38,7 @@ from flagstab.cli import (
     parse_polynomial,
 )
 
-from conftest import V, flag_corpus
+from conftest import V, flag_corpus, twisted_cubic
 
 
 CONIC_DOC = """\
@@ -206,6 +216,11 @@ def test_parse_error_text(text, nvars, line, col0, message):
         ("ring x\nideal: )\n", "line 2, column 8: expected a number, variable or '('"),
         ("ring x\nideal: a\n", "line 2, column 9: undeclared variable 'a'"),
         ("ring x\nideal:    a\n", "line 2, column 12: undeclared variable 'a'"),
+        ("stage: 1, 7\n", "line 1, column 1: stage needs exactly one integer"),
+        (
+            "flag: n=1 d=4 a0=5 a0=7\n",
+            "line 1, column 1: repeated flag parameter 'a0'",
+        ),
     ],
 )
 def test_document_error_columns(text, message):
@@ -586,3 +601,87 @@ def test_main_reuses_one_argument_parser(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(argparse, "ArgumentParser", refuse)
     assert run(capsys, "flat-limit", str(path), "--check")[0] == 0
     assert run(capsys, "flat-limit", str(path)) == (0, fresh.stdout, "")
+
+
+# -- the per-command Groebner-basis memo --------------------------------
+
+
+SURFACE_FLAG_DOC = """\
+ring x, y, v1, v2
+command: flag-check
+ideal: x*y*(x - y)*(x - 2*y) + v1^4 - 2*v2^4
+points: (1,0); (0,1); (1,1); (1,2)
+flag: n=2 a0=5
+beta: 3, -2, -4
+mults: 2, 1, 1
+"""
+
+
+@pytest.fixture
+def computed(monkeypatch) -> list:
+    """The (ideal, order) of every basis `buchberger` computes rather
+    than finds in its memo, in order."""
+    out = []
+    compute = groebner._buchberger
+
+    def counting(ideal, order):
+        out.append((ideal, order))
+        return compute(ideal, order)
+
+    monkeypatch.setattr(groebner, "_buchberger", counting)
+    return out
+
+
+class TestGroebnerMemo:
+    @pytest.mark.parametrize("options", [(), ("--check",)])
+    @pytest.mark.parametrize("source", ["golden", "surface"])
+    def test_each_basis_computed_once_per_command(
+        self, tmp_path, capsys, monkeypatch, computed, source, options
+    ):
+        path = GOLDEN / "flag-check.in"
+        if source == "surface":
+            path = tmp_path / "surface.in"
+            path.write_text(SURFACE_FLAG_DOC)
+        argv = ("flag-check", str(path), *options)
+        expected = run(capsys, *argv)
+        assert expected[0] == 0
+        assert computed and len(set(computed)) == len(computed)
+        # without the memo the same command computes more, and prints the same
+        memoised = len(computed)
+        computed.clear()
+        monkeypatch.setattr(cli, "gb_memo", contextlib.nullcontext)
+        assert run(capsys, *argv) == expected
+        assert len(computed) > memoised
+
+    def test_memo_lasts_one_command(self, tmp_path, capsys, computed):
+        path = tmp_path / "surface.in"
+        path.write_text(SURFACE_FLAG_DOC)
+        copy = tmp_path / "copy.in"
+        copy.write_text(SURFACE_FLAG_DOC)
+        assert run(capsys, "flag-check", str(path))[0] == 0
+        once = list(computed)
+        assert groebner._MEMO.get() is None
+        computed.clear()
+        assert run(capsys, "flag-check", str(path))[0] == 0
+        assert computed == once
+        computed.clear()
+        assert run(capsys, "batch", str(path), str(copy))[0] == 0
+        assert computed == once + once
+        assert groebner._MEMO.get() is None
+
+    def test_no_state_outside_a_block(self, computed):
+        ideal = twisted_cubic()
+        assert buchberger(ideal) == buchberger(ideal)
+        assert len(computed) == 2
+        with gb_memo():
+            assert buchberger(ideal) == buchberger(ideal)
+        assert len(computed) == 3
+        assert groebner._MEMO.get() is None
+
+    def test_reports_equal_with_and_without_memo(self):
+        grading = GradedOnePS((1, -2), (2, 1))
+        for _, _, flag in flag_corpus():
+            plain = (check_flag_stability(flag, grading, 5), validate_flag(flag))
+            with gb_memo():
+                memoised = (check_flag_stability(flag, grading, 5), validate_flag(flag))
+            assert memoised == plain
