@@ -4,7 +4,7 @@ linear-algebra membership oracle.
 
 Inside a `gb_memo()` block `buchberger` computes each (ideal, order)
 basis once; the CLI opens one block per command. Outside one it keeps
-no state.
+no bases, only the monomial packing of each (order, ring size) met.
 
 The membership oracle is deliberately independent of Buchberger: for a
 homogeneous ideal and a degree d it spans I_d by monomial multiples of
@@ -17,13 +17,15 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, le
+from operator import mul
 
 from .linalg import Echelon, row_from_fractions
 from .poly import (
     GRLEX,
+    DimensionError,
     HomogeneousIdeal,
     Monomial,
     Polynomial,
@@ -31,7 +33,6 @@ from .poly import (
     monomial_div,
     monomial_divides,
     monomial_lcm,
-    monomial_mul,
     monomials_of_degree,
 )
 
@@ -58,54 +59,100 @@ def normal_form(f: Polynomial, basis, order: TermOrder = GRLEX) -> Polynomial:
 def normal_forms(fs, basis, order: TermOrder = GRLEX) -> list[Polynomial]:
     """`normal_form` of each polynomial in fs, with the basis turned into
     integer divisors once for all of them."""
-    keys = _OrderKeys(order)
-    divisors = [_divisor(_integer_terms(b)[0], keys) for b in basis if not b.is_zero]
+    if not fs:
+        return []
+    packing = _packing(order, fs[0].nvars)
+    divisors = [_divisor(packing.terms(b)[0]) for b in basis if not b.is_zero]
     out = []
     for f in fs:
-        work, den = _integer_terms(f)
-        r, scale = _divide(work, divisors, keys)
-        out.append(Polynomial(f.nvars, {m: Fraction(c, den * scale) for m, c in r.items()}))
+        work, den = packing.terms(f)
+        r, scale = _divide(work, divisors, packing.mask)
+        out.append(packing.polynomial(r, den * scale))
     return out
 
 
-class _OrderKeys(dict):
-    """Order keys of the monomials met in one call, computed on first lookup."""
+class _Packing:
+    """Each monomial as one int (Monagan and Pearce, ISSAC 2007): the fields
+    of `order.key`, then for a `dropped` order the exponents again, `width`
+    bits each with a guard bit on top. Packing is linear, int comparison is
+    the order, and x^b divides x^a iff a - b sets no guard bit in `mask`."""
 
-    def __init__(self, order: TermOrder):
-        self.key = order.key
+    BOUND = 1 << 32  # of the total degree; below it the packing is exact
 
-    def __missing__(self, m: Monomial):
-        k = self[m] = self.key(m)
-        return k
+    def __init__(self, order: TermOrder, nvars: int):
+        w = order.weights or (0,) * nvars
+        if len(w) != nvars:
+            raise DimensionError("weight vector length mismatch")
+        # below degree 2^32 each field is under 2^(width - 2) in size
+        self.width = width = 34 + max(map(abs, w), default=0).bit_length()
+        self.shifts = tuple(range(width * (nvars - 1), -1, -width))  # of the last nvars fields
+        self.mask = (1 << width * nvars) // ((1 << width) - 1) << width - 1
+        blocks = [range(nvars)]
+        if order.dropped:
+            blocks = [order.dropped, [i for i in range(nvars) if i not in order.dropped]]
+        self.units = [1 << s if order.dropped else 0 for s in self.shifts]
+        top = width * len(blocks) * (nvars + 2)  # (degree, -weight, exponents) per block
+        for block in blocks:
+            degree = 1 << top - width
+            for j, i in enumerate(block):
+                self.units[i] += degree - (w[i] << top - 2 * width) + (1 << top - (3 + j) * width)
+            top -= width * (2 + len(block))
+
+    def check(self, degree: int) -> None:
+        if degree >= self.BOUND:
+            raise ValueError(f"degree {degree} is past the 2^32 a packed monomial holds")
+
+    def pack(self, m: Monomial) -> int:
+        self.check(sum(m))
+        return sum(map(mul, m, self.units))
+
+    def unpack(self, p: int) -> Monomial:
+        low = (1 << self.width) - 1
+        return tuple([p >> s & low for s in self.shifts])
+
+    def terms(self, f: Polynomial) -> tuple[dict[int, int], int]:
+        """D*f as a packed integer term dict, with D the lcm of f's denominators."""
+        self.check(f.degree())
+        den, units = lcm(*(c.denominator for c in f.terms.values())), self.units
+        return {
+            sum(map(mul, m, units)): c.numerator * (den // c.denominator)
+            for m, c in f.terms.items()
+        }, den
+
+    def polynomial(self, terms: dict[int, int], den: int) -> Polynomial:
+        """The packed integer term dict over den; `unpack` inlined for speed."""
+        low, shifts = (1 << self.width) - 1, self.shifts
+        t = {tuple([m >> s & low for s in shifts]): Fraction(c, den) for m, c in terms.items()}
+        return Polynomial(len(shifts), t)
 
 
-def _integer_terms(f: Polynomial) -> tuple[dict[Monomial, int], int]:
-    """D*f as an integer term dict, with D the lcm of f's denominators."""
-    den = lcm(*(c.denominator for c in f.terms.values()))
-    return {m: c.numerator * (den // c.denominator) for m, c in f.terms.items()}, den
+# a packing depends on (order, nvars) alone, and a command meets few of them
+_packing = lru_cache(maxsize=64)(_Packing)
 
 
-def _divisor(terms: dict[Monomial, int], keys: _OrderKeys) -> tuple:
+def _divisor(terms: dict[int, int]) -> tuple:
     """(lead, lead coefficient, tail) of the primitive multiple with a
     positive lead coefficient: the form `_divide` takes divisors in."""
-    lead = max(terms, key=keys.__getitem__)
+    lead = max(terms)
     h = gcd(*terms.values()) if terms[lead] > 0 else -gcd(*terms.values())
     return lead, terms[lead] // h, [(m, c // h) for m, c in terms.items() if m != lead]
 
 
-def _divide(work: dict[Monomial, int], divisors: list, keys: _OrderKeys) -> tuple[dict, int]:
-    """Full division of an integer term dict, free of fractions (primitive
-    pseudo-division; Geddes, Czapor and Labahn, "Algorithms for Computer
-    Algebra", 1992). Returns (r, k) with k > 0 and r = k*f - sum q_i*b_i,
-    so r/k is the rational remainder, reached on the same division path.
+def _divide(work: dict[int, int], divisors: list, mask: int) -> tuple[dict, int]:
+    """Full division of a packed integer term dict, free of fractions
+    (primitive pseudo-division; Geddes, Czapor and Labahn, "Algorithms for
+    Computer Algebra", 1992). Returns (r, k) with k > 0 and
+    r = k*f - sum q_i*b_i, so r/k is the rational remainder, reached on the
+    same division path.
     """
-    remainder: dict[Monomial, int] = {}
+    remainder: dict[int, int] = {}
     scale = 1
     while work:
-        m = max(work, key=keys.__getitem__)
+        m = max(work)
         c = work.pop(m)
         for mb, cb, tail in divisors:
-            if all(map(le, mb, m)):
+            shift = m - mb
+            if not shift & mask:
                 h = gcd(c, cb)
                 if h != cb:  # scale so that cb divides the coefficient
                     s = cb // h
@@ -113,9 +160,8 @@ def _divide(work: dict[Monomial, int], divisors: list, keys: _OrderKeys) -> tupl
                     work = {t: v * s for t, v in work.items()}
                     remainder = {t: v * s for t, v in remainder.items()}
                 q = c // h
-                shift = monomial_div(m, mb)
                 for mt, ct in tail:
-                    t = tuple(map(add, mt, shift))
+                    t = mt + shift
                     v = work.get(t, 0) - q * ct
                     if v:
                         work[t] = v
@@ -178,28 +224,28 @@ def _buchberger(ideal: HomogeneousIdeal, order: TermOrder) -> GroebnerBasis:
     strategy. Elements are held as primitive integer divisors and
     S-polynomials reduced fraction-free; only the monic result is rational.
     """
-    keys = _OrderKeys(order)
-    basis: list[tuple] = []  # (lead, lead coefficient, tail), as `_divisor` gives
-    leads: list[Monomial] = []
+    packing = _packing(order, ideal.nvars)
+    basis: list[tuple] = []  # packed (lead, lead coefficient, tail), as `_divisor` gives
+    leads: list[Monomial] = []  # the same leads as exponent tuples
     pairs: list[tuple[int, Monomial, int, int]] = []  # (deg lcm, lcm, i, j), largest first
     for g in ideal.generators:
-        _add_to_basis(_divisor(_integer_terms(g)[0], keys), basis, leads, pairs)
+        _add_to_basis(_divisor(packing.terms(g)[0]), basis, leads, pairs, packing)
     while pairs:
         _, l, i, j = pairs.pop()
         # dividing x^(l - lead i)*basis[i] by basis[j] first forms their S-polynomial
         mi, ci, tail = basis[i]
-        shift = monomial_div(l, mi)
-        work = {monomial_mul(m, shift): c for m, c in [(mi, ci), *tail]}
-        r, _ = _divide(work, [basis[j], *basis], keys)
+        shift = packing.pack(l) - mi
+        work = {m + shift: c for m, c in [(mi, ci), *tail]}
+        r, _ = _divide(work, [basis[j], *basis], packing.mask)
         if r:
-            _add_to_basis(_divisor(r, keys), basis, leads, pairs)
-    return GroebnerBasis(tuple(_interreduce(basis, leads, keys)), order)
+            _add_to_basis(_divisor(r), basis, leads, pairs, packing)
+    return GroebnerBasis(tuple(_interreduce(basis, leads, packing)), order)
 
 
-def _add_to_basis(g: tuple, basis: list, leads: list, pairs: list) -> None:
+def _add_to_basis(g: tuple, basis: list, leads: list, pairs: list, packing: _Packing) -> None:
     """Append g to the basis and apply the Gebauer-Moeller update to the pairs."""
     k = len(basis)
-    lk = g[0]
+    lk = packing.unpack(g[0])
     basis.append(g)
     leads.append(lk)
     # old pair (i, j) whose lcm lead(k) divides, unless lcm(i, k) or
@@ -225,21 +271,22 @@ def _add_to_basis(g: tuple, basis: list, leads: list, pairs: list) -> None:
     pairs.sort(reverse=True)
 
 
-def _interreduce(basis: list[tuple], leads: list[Monomial], keys: _OrderKeys) -> list[Polynomial]:
+def _interreduce(basis: list[tuple], leads: list[Monomial], packing: _Packing) -> list[Polynomial]:
     # drop members whose lead is divisible by another lead
     kept = [
-        g
-        for i, (g, mg) in enumerate(zip(basis, leads))
+        i
+        for i, mg in enumerate(leads)
         if not any(
             j != i and monomial_divides(mh, mg) and (mh != mg or j < i)
             for j, mh in enumerate(leads)
         )
     ]
-    kept.sort(key=lambda g: (sum(g[0]), keys[g[0]]))  # reducing keeps each lead
+    kept.sort(key=lambda i: (sum(leads[i]), basis[i][0]))  # reducing keeps each lead
+    kept = [basis[i] for i in kept]
     out = []
     for i, (mg, cg, tail) in enumerate(kept):
-        r, _ = _divide(dict([(mg, cg), *tail]), kept[:i] + kept[i + 1 :], keys)
-        out.append(Polynomial(len(mg), {m: Fraction(c, r[mg]) for m, c in r.items()}))
+        r, _ = _divide(dict([(mg, cg), *tail]), kept[:i] + kept[i + 1 :], packing.mask)
+        out.append(packing.polynomial(r, r[mg]))
     return out
 
 

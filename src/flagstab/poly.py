@@ -267,7 +267,8 @@ class Polynomial:
         )
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        # by support: hashing `Fraction`s is slow; equality checks coefficients
+        return hash((self.nvars, frozenset(self.terms)))
 
     # -- structure -----------------------------------------------------
 
@@ -381,14 +382,15 @@ def initial_part(f: Polynomial, lam: OnePS) -> Polynomial:
 
 def _generator_sort_key(f: Polynomial):
     lead = f.leading(GRLEX)[0]
-    return (f.degree(), GRLEX.key(lead), sorted(f.terms))
+    terms = sorted(f.terms.items())  # coefficients break ties of equal support
+    return (f.degree(), GRLEX.key(lead), [m for m, _ in terms], terms)
 
 
 class HomogeneousIdeal:
     """Ideal given by nonzero homogeneous generators in canonical form.
 
     Generators are made monic under graded lex, deduplicated and sorted
-    by (degree, leading monomial) so equal generating sets compare equal.
+    by (degree, lead, support, coefficients): equal generating sets are equal.
     """
 
     __slots__ = ("nvars", "generators", "_hash")

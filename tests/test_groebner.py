@@ -24,7 +24,7 @@ from flagstab import (
     s_polynomial,
     weight_order,
 )
-from flagstab.groebner import restrict_to_variables
+from flagstab.groebner import _Packing, restrict_to_variables
 from flagstab.poly import monomial_divides
 
 from conftest import V, twisted_cubic
@@ -280,3 +280,87 @@ def test_ideal_equal_under_generator_shuffle(coeffs):
         gens[2] + coeffs[1] * gens[0],
     ]
     assert ideal_equal(HomogeneousIdeal(4, gens), HomogeneousIdeal(4, mixed))
+
+
+@st.composite
+def _packed_case(draw):
+    """An order on up to 6 variables and three monomials under it, with
+    exponents up to 64 or within 64 of the degree bound over n."""
+    n = draw(st.integers(1, 6))
+    top = draw(st.sampled_from([64, (_Packing.BOUND - 1) // n]))
+    weight = draw(st.sampled_from([3, 10**18]))
+    weights = draw(st.none() | st.tuples(*[st.integers(-weight, weight)] * n))
+    blocks = st.lists(st.integers(0, n - 1), unique=True, min_size=1).map(tuple)
+    dropped = draw(st.none() | blocks)
+    monomials = st.tuples(*[st.integers(top - 64, top)] * n)
+    return TermOrder(weights, dropped), draw(monomials), draw(monomials), draw(monomials)
+
+
+@settings(deadline=None, max_examples=200)
+@given(case=_packed_case())
+def test_packed_monomials_follow_the_order(case):
+    order, a, b, c = case
+    packing = _Packing(order, len(a))
+    pa, pb, ka = packing.pack(a), packing.pack(b), order.key(a)
+    for m in (b, a[::-1], a[1:] + a[:1]):  # the permutations of a tie on degree
+        pm, km = packing.pack(m), order.key(m)
+        assert (pa > pm) - (pa < pm) == (ka > km) - (ka < km)
+    ab = tuple(x + y for x, y in zip(a, b))
+    if sum(ab) < _Packing.BOUND:
+        assert pa + pb == packing.pack(ab)
+    assert packing.unpack(pa) == a
+    divisor = tuple(max(x - y, 0) for x, y in zip(a, c))  # divides a
+    for m in (b, c, divisor, (0,) * len(a)):
+        assert (not (pa - packing.pack(m)) & packing.mask) == monomial_divides(m, a)
+
+
+def test_degree_past_the_packing_bound_raises():
+    packing = _Packing(weight_order(OnePS((10**18, -1))), 2)
+    assert packing.unpack(packing.pack((_Packing.BOUND - 2, 1))) == (_Packing.BOUND - 2, 1)
+    with pytest.raises(ValueError, match="degree"):
+        packing.pack((_Packing.BOUND - 1, 1))
+    past = Polynomial.from_monomial((_Packing.BOUND, 0))
+    with pytest.raises(ValueError, match="degree"):
+        normal_form(past, [V(2, 0)])
+    with pytest.raises(ValueError, match="degree"):
+        buchberger(HomogeneousIdeal(2, [past]))
+    # every generator is below the bound, the lcm of their leads is not
+    e = _Packing.BOUND // 2 + 5
+    ideal = HomogeneousIdeal(
+        2, [Polynomial.from_monomial((e, 1)), Polynomial.from_monomial((1, e))]
+    )
+    with pytest.raises(ValueError, match="degree"):
+        buchberger(ideal)
+
+
+@pytest.mark.parametrize("ideal", RANDOM_IDEALS[:6] + WIDE_IDEALS[:3])
+def test_scaled_weights_give_the_same_basis(ideal):
+    """λ and 10^12·λ define one order, though they pack to other widths."""
+    lam = OnePS((3, -2) + (1,) * (ideal.nvars - 3) + (-2,))
+    basis = buchberger(ideal, weight_order(lam)).basis
+    assert buchberger(ideal, weight_order(lam.scale(10**12))).basis == basis
+
+
+@pytest.mark.parametrize("ideal", RANDOM_IDEALS + WIDE_IDEALS, ids=RANDOM_IDS)
+def test_normal_form_matches_sympy(ideal):
+    """The remainder by a reduced GRLEX basis is unique, so it must equal
+    sympy's `reduced` by sympy's basis."""
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.symbols(f"x0:{ideal.nvars}")
+
+    def expr(f):
+        terms = {m: sympy.Rational(c.numerator, c.denominator) for m, c in f.terms.items()}
+        return sympy.Poly.from_dict(terms, *xs).as_expr()
+
+    reference = sympy.groebner([expr(g) for g in ideal.generators], *xs, order="grlex", domain="QQ")
+    basis = buchberger(ideal).basis
+    rng = random.Random(ideal.generators[0].to_str())
+    for degree in (2, 3, 4):
+        f = _random_form(rng, ideal.nvars, degree, 6, WIDE)
+        _, r = sympy.reduced(expr(f), list(reference.exprs), *xs, order="grlex", domain="QQ")
+        want = {
+            m: Fraction(int(c.numerator), int(c.denominator))
+            for m, c in sympy.Poly(r, *xs).as_dict(native=True).items()
+            if c
+        }
+        assert normal_form(f, basis) == Polynomial(ideal.nvars, want)

@@ -1,5 +1,6 @@
 """Polynomial arithmetic, weights, term orders and initial parts."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,11 +13,14 @@ from flagstab import (
     HomogeneousIdeal,
     OnePS,
     Polynomial,
+    buchberger,
     compare,
+    gb_memo,
     initial_part,
     monomials_of_degree,
     weight_order,
 )
+from flagstab import groebner
 
 from conftest import V
 
@@ -161,6 +165,21 @@ def test_scalar_exactness(p, q):
     assert r * (1 / r) == 1
 
 
+@settings(deadline=None, max_examples=100)
+@given(
+    terms=st.dictionaries(
+        monomials3, st.fractions(max_denominator=20).filter(bool), min_size=1, max_size=5
+    ),
+    k=st.integers(1, 6),
+)
+def test_equal_polynomials_hash_equal(terms, k):
+    """Equal polynomials reached by other arithmetic, with their terms in
+    another order, hash equal."""
+    f = Polynomial(3, terms)
+    g = Polynomial(3, dict(reversed(terms.items()))) * k * Fraction(1, k)
+    assert f == g and hash(f) == hash(g)
+
+
 class TestOnePS:
     def test_sl_normalized(self):
         assert OnePS((2, -1, -1)).sl_normalized
@@ -190,6 +209,32 @@ class TestHomogeneousIdeal:
         f = V(3, 0) ** 2
         g = V(3, 1) * V(3, 2)
         assert HomogeneousIdeal(3, [g, f]) == HomogeneousIdeal(3, [f, g])
+
+    def test_generators_of_equal_support_order_by_coefficients(self):
+        # x0^2 + a*x0*x1 + b*x1*x2 and x0^2 + c*x0*x1 + d*x1*x2 tie on
+        # degree, lead and support
+        x0, x1, x2 = (V(3, i) for i in range(3))
+        rng = random.Random(2007)
+        for _ in range(300):
+            a, b, c, d = (Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4))
+            f = x0**2 + a * x0 * x1 + b * x1 * x2
+            g = x0**2 + c * x0 * x1 + d * x1 * x2
+            one, other = HomogeneousIdeal(3, [f, g]), HomogeneousIdeal(3, [g, f])
+            assert one == other and hash(one) == hash(other)
+            with gb_memo():
+                assert buchberger(one) == buchberger(other)
+                assert len(groebner._MEMO.get()) == 1
+
+    def test_same_support_ideals_stay_distinct_memo_keys(self):
+        x0, x1, x2 = (V(3, i) for i in range(3))
+        one = HomogeneousIdeal(3, [x0**2 + x1 * x2])
+        other = HomogeneousIdeal(3, [x0**2 + 2 * x1 * x2])
+        assert one != other and hash(one) == hash(other)  # same support
+        with gb_memo():
+            bases = buchberger(one), buchberger(other)
+            assert len(groebner._MEMO.get()) == 2
+        assert bases[0].basis == one.generators
+        assert bases[1].basis == other.generators
 
     def test_to_str_roundtrip_shape(self):
         f = V(3, 0) * V(3, 2) - V(3, 1) ** 2
