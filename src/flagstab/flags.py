@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import is_nondegenerate, singular_locus_empty
+from .geometry import flat_limit, is_nondegenerate, singular_locus_empty
 from .groebner import canonical_generators, ideal_equal, restrict_to_variables
 from .hilbert import (
     PointConfiguration,
@@ -160,8 +160,6 @@ def flag_limit(
         strata.append(canonical_generators(HomogeneousIdeal(flag.dim_v, gens)))
     limit = FlagConfiguration(tuple(strata))
     if check:
-        from .geometry import flat_limit as geometric_limit
-
         if g is None:
             g = standard_grading(flag)
         sd = stage_data(g, i)
@@ -169,7 +167,7 @@ def flag_limit(
         # degeneration order stores the negatives
         lam = OnePS(tuple(-w for w in sd.lambda_bracket.weights))
         for j in range(flag.n + 1):
-            recomputed = geometric_limit(base(j), lam)
+            recomputed = flat_limit(base(j), lam)
             if not ideal_equal(recomputed, limit.strata[j]):
                 raise FlagLimitMismatch(
                     f"stage {i}, stratum {j}: flat limit disagrees with the join"

@@ -60,13 +60,16 @@ class ProjectivePoint:
 
 
 def flat_limit(ideal: HomogeneousIdeal, lam: OnePS) -> HomogeneousIdeal:
-    """Ideal of the limit subscheme: initial parts of a Groebner basis
-    under the weight-refined order, in canonical form."""
-    if ideal.is_zero:
-        return ideal
+    """Ideal of the limit subscheme: the initial parts of the reduced
+    Groebner basis under the weight-refined order.
+
+    They are the reduced graded-lex basis of the limit, already in
+    canonical form (Sturmfels, "Groebner bases and convex polytopes",
+    1996, Prop. 1.13). Each initial part keeps its element's leading
+    term, and its other terms are terms of a reduced basis element.
+    """
     gb = buchberger(ideal, weight_order(lam))
-    gens = [initial_part(g, lam) for g in gb.basis]
-    return canonical_generators(HomogeneousIdeal(ideal.nvars, gens))
+    return HomogeneousIdeal(ideal.nvars, [initial_part(g, lam) for g in gb.basis])
 
 
 def flat_limit_oracle(

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul
 
 from .linalg import Echelon, row_from_fractions
 from .poly import (
@@ -354,9 +354,11 @@ def degree_echelon(
         e = g.degree()
         if e > d:
             continue
+        # g cleared to integers once; `insert` normalises each shifted row
+        den = lcm(*(c.denominator for c in g.terms.values()))
+        terms = [(t, c.numerator * (den // c.denominator)) for t, c in g.terms.items()]
         for m in monomials_of_degree(ideal.nvars, d - e):
-            prod = Polynomial.from_monomial(m) * g
-            ech.insert(row_from_fractions(poly_to_row(prod, columns)))
+            ech.insert({columns[tuple(map(add, m, t))]: c for t, c in terms})
     return columns, ech
 
 

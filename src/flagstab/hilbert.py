@@ -19,7 +19,7 @@ from itertools import accumulate, combinations
 from math import comb, factorial
 
 from .linalg import Echelon, row_from_fractions
-from .groebner import buchberger, degree_echelon, ideal_equal, restrict_to_variables
+from .groebner import buchberger, degree_echelon
 from .poly import (
     GRLEX,
     HomogeneousIdeal,
@@ -112,10 +112,10 @@ def _monomial_numerator(gens: tuple[Monomial, ...], memo: dict) -> list[int]:
     return memo[gens]
 
 
-def _numerator(ideal: HomogeneousIdeal) -> list[int]:
-    """N(t) with HS(S/I) = N(t)/(1-t)^nvars, from the leading monomials of
-    the reduced graded-lex Groebner basis."""
-    leads = buchberger(ideal, GRLEX).leading_monomials()
+def _numerator(leads) -> list[int]:
+    """N(t) with HS(S/M) = N(t)/(1-t)^nvars, M the monomial ideal of the
+    leads; for the leading monomials of the reduced graded-lex Groebner
+    basis of I, HS(S/I) has the same N(t)."""
     return _monomial_numerator(_minimalize(leads), {})
 
 
@@ -167,7 +167,7 @@ def hilbert_data(ideal: HomogeneousIdeal) -> HilbertData:
     """Hilbert polynomial, dimension, degree, stabilization degree (1 + the
     largest m with HF(m) != HP(m), or 0) and the Hilbert function on a
     window of degrees reaching past stabilization."""
-    q, d = _cancel(_numerator(ideal), ideal.nvars)
+    q, d = _cancel(_numerator(buchberger(ideal, GRLEX).leading_monomials()), ideal.nvars)
     coeffs = _eventual_polynomial(q, d)
     stab = next(
         (
@@ -213,30 +213,16 @@ def weighted_slice_weight(
     return -total
 
 
-def _weight_block_factors(
-    ideal: HomogeneousIdeal, lam: OnePS
-) -> list[tuple[int, HomogeneousIdeal]]:
-    """Per-weight-space factors of the coordinate ring.
-
-    For each weight c of lam, the other weight spaces' variables are set
-    to zero and the ideal is pushed into the subring of the weight-c
-    variables; the coordinate ring of a subscheme cut out by equations
-    living within single weight spaces is the (degreewise) tensor
-    product of these factors.
-    """
-    factors = []
-    for c in sorted(set(lam.weights), reverse=True):
-        block = [i for i, w in enumerate(lam.weights) if w == c]
-        others = [i for i in range(ideal.nvars) if i not in block]
-        gens = [g.substitute_zero(others) for g in ideal.generators]
-        sub = restrict_to_variables(HomogeneousIdeal(ideal.nvars, gens), block)
-        factors.append((c, sub))
-    return factors
-
-
 def chow_weight_numeric(ideal: HomogeneousIdeal, lam: OnePS) -> Fraction:
     """Chow weight a_X of a lam-fixed subscheme, from the blockwise slice
     weights.
+
+    Both preconditions are read off the reduced graded-lex basis. The
+    ideal is lam-fixed iff every basis element is lam-homogeneous. It is
+    cut out within the weight spaces iff every element uses one weight
+    space's variables; then the coordinate ring is the (degreewise)
+    tensor product of one factor per weight space, whose basis is the
+    elements of that space.
 
     The degree-m slice splits over weight-space degree distributions
     (i_1, ..., i_s); each distribution on which every factor's Hilbert
@@ -248,24 +234,24 @@ def chow_weight_numeric(ideal: HomogeneousIdeal, lam: OnePS) -> Fraction:
     coefficient of m^(n+1): the numerator of the total's series over
     (1-t)^(n+2), evaluated at t = 1.
     """
-    from .geometry import flat_limit  # local import, geometry depends on us
-
     if not lam.sl_normalized:
         raise PreconditionError("weight vector must sum to zero")
-    if not ideal_equal(flat_limit(ideal, lam), ideal):
+    gb = buchberger(ideal, GRLEX)
+    if any(len({lam.weight(m) for m in g.terms}) > 1 for g in gb.basis):
         raise PreconditionError("ideal is not fixed by the weight vector")
-    num = _numerator(ideal)
+    leads = gb.leading_monomials()
+    num = _numerator(leads)
     n = _cancel(num, ideal.nvars)[1] - 1
     if n < 0:
         raise PreconditionError("empty subscheme has no Chow weight")
-    factors = [(c, sub.nvars, _numerator(sub)) for c, sub in _weight_block_factors(ideal, lam)]
-    product = [1]
-    for _, _, num_t in factors:
-        product = _mul(product, num_t)
-    if product != num:
-        raise PreconditionError(
-            "ideal is not cut out within the weight spaces of the 1PS"
-        )
+    # a factor's N(t) does not depend on the variables its leads omit
+    space_leads: dict[int, list] = {c: [] for c in sorted(set(lam.weights), reverse=True)}
+    for g, lead in zip(gb.basis, leads):
+        space = {lam.weights[i] for i in g.variables_used()}
+        if len(space) > 1:
+            raise PreconditionError("ideal is not cut out within the weight spaces of the 1PS")
+        space_leads[space.pop()].append(lead)
+    factors = [(c, lam.weights.count(c), _numerator(space_leads[c])) for c in space_leads]
     # E_s = e_s/(1-t): e_s = 1 for a nonempty factor, 1 - t^(k+1) when its
     # Hilbert function vanishes after degree k
     indicators = []
@@ -363,10 +349,6 @@ class PointConfiguration:
         return [(i, p) for p, i in seen.items()]
 
 
-def _point_row(p: tuple[Fraction, ...]):
-    return row_from_fractions({i: c for i, c in enumerate(p) if c != 0})
-
-
 @dataclass(frozen=True)
 class StabilityVerdict:
     verdict: str  # "stable" | "strictly_semistable" | "unstable"
@@ -388,6 +370,7 @@ def chow_points_stability(cfg: PointConfiguration) -> StabilityVerdict:
     """
     d = cfg.length
     support = cfg.support()
+    rows = [row_from_fractions(dict(enumerate(p))) for p in cfg.points]
     best: tuple[Fraction, tuple[int, ...], int, int] | None = None
     seen_spans: set[frozenset] = set()
     max_size = min(len(support), cfg.dim_w - 1)
@@ -395,7 +378,7 @@ def chow_points_stability(cfg: PointConfiguration) -> StabilityVerdict:
         for subset in combinations(range(len(support)), size):
             ech = Echelon()
             for k in subset:
-                ech.insert(_point_row(support[k][1]))
+                ech.insert(rows[support[k][0]])
             rank = ech.rank
             if rank > cfg.dim_w - 1:
                 continue  # not a proper subspace
@@ -405,7 +388,7 @@ def chow_points_stability(cfg: PointConfiguration) -> StabilityVerdict:
             if signature in seen_spans:
                 continue
             seen_spans.add(signature)
-            count = sum(1 for p in cfg.points if ech.contains(_point_row(p)))
+            count = sum(1 for row in rows if ech.contains(row))
             margin = Fraction(count, d) - Fraction(rank, cfg.dim_w)
             indices = tuple(support[k][0] for k in subset)
             cand = (margin, indices, rank - 1, count)

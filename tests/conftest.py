@@ -10,8 +10,9 @@ import random
 import sys
 
 import pytest
+from hypothesis import strategies as st
 
-from flagstab import HomogeneousIdeal, OnePS, Polynomial
+from flagstab import HomogeneousIdeal, OnePS, Polynomial, monomials_of_degree
 from flagstab.hilbert import PointConfiguration
 from flagstab.flags import HyperplanarFlag
 
@@ -42,8 +43,6 @@ CORPUS_WEIGHTS = {
 
 
 def _random_homogeneous(rng: random.Random, nvars: int, degree: int) -> Polynomial:
-    from flagstab import monomials_of_degree
-
     monos = monomials_of_degree(nvars, degree)
     picked = rng.sample(monos, min(4, len(monos)))
     out = Polynomial.zero(nvars)
@@ -83,6 +82,22 @@ def corpus_ideals() -> list[tuple[str, HomogeneousIdeal]]:
         gens = [g for g in gens if not g.is_zero]
         out.append((f"random-ci-{k}", HomogeneousIdeal(nvars, gens)))
     return out
+
+
+@st.composite
+def small_ideals_with_weights(draw) -> tuple[HomogeneousIdeal, OnePS]:
+    """1-3 generators of 1-3 terms and degree <= 3 in 2-4 variables, with
+    an sl-normalized weight vector. Weights in [-2, 2] often give two
+    terms one weight, so fixed ideals that are not monomial come up."""
+    n = draw(st.integers(2, 4))
+    head = draw(st.lists(st.integers(-2, 2), min_size=n - 1, max_size=n - 1))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        monos = monomials_of_degree(n, draw(st.integers(1, 3)))
+        support = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=3, unique=True))
+        coeffs = st.sampled_from([-2, -1, 1, 2])
+        gens.append(Polynomial(n, {m: draw(coeffs) for m in support}))
+    return HomogeneousIdeal(n, gens), OnePS((*head, -sum(head)))
 
 
 def corpus_pairs() -> list[tuple[str, HomogeneousIdeal, OnePS]]:

@@ -653,6 +653,16 @@ class TestGroebnerMemo:
         assert run(capsys, *argv) == expected
         assert len(computed) > memoised
 
+    @pytest.mark.parametrize(
+        "command, bases", [("chow-weight", 1), ("flat-limit", 1), ("flag-check", 4)]
+    )
+    def test_bases_computed_per_golden_command(self, capsys, computed, command, bases):
+        # chow-weight reads fixedness and the weight-space split off the
+        # graded-lex basis of the ideal; flat-limit reads the limit's
+        # graded-lex basis off the weight-order basis of the ideal
+        assert run(capsys, command, str(GOLDEN / f"{command}.in"))[0] == 0
+        assert len(computed) == bases
+
     def test_memo_lasts_one_command(self, tmp_path, capsys, computed):
         path = tmp_path / "surface.in"
         path.write_text(SURFACE_FLAG_DOC)

@@ -1,12 +1,15 @@
 """Flat limits, joins, sections, tangent spaces and smoothness."""
 
 import pytest
+from hypothesis import given, settings
 
 from flagstab import (
+    GRLEX,
     HomogeneousIdeal,
     degree_dimension,
     OnePS,
     Polynomial,
+    buchberger,
     flat_limit,
     flat_limit_oracle,
     hilbert_data,
@@ -26,7 +29,14 @@ from flagstab.geometry import (
     projection_dominant,
 )
 
-from conftest import V, corpus_ideals, flag_corpus, twisted_cubic
+from conftest import (
+    V,
+    corpus_ideals,
+    corpus_pairs,
+    flag_corpus,
+    small_ideals_with_weights,
+    twisted_cubic,
+)
 
 
 CONIC = HomogeneousIdeal(3, [V(3, 0) * V(3, 2) - V(3, 1) ** 2])
@@ -52,6 +62,17 @@ class TestFlatLimit:
         lam = OnePS((2, -1, -1))
         limit = flat_limit(CONIC, lam)
         assert flat_limit(limit, lam) == limit
+
+    def test_generators_are_the_reduced_grlex_basis_on_corpus(self):
+        for name, ideal, lam in corpus_pairs():
+            limit = flat_limit(ideal, lam)
+            assert limit.generators == buchberger(limit, GRLEX).basis, name
+
+    @settings(deadline=None, max_examples=40)
+    @given(case=small_ideals_with_weights())
+    def test_generators_are_the_reduced_grlex_basis(self, case):
+        limit = flat_limit(*case)
+        assert limit.generators == buchberger(limit, GRLEX).basis
 
     def test_preserves_hilbert_function(self):
         lam = OnePS((1, 1, -1, -1))

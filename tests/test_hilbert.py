@@ -6,6 +6,7 @@ from itertools import combinations, product
 from operator import mul
 
 import pytest
+from hypothesis import given, settings
 
 from flagstab import (
     HomogeneousIdeal,
@@ -15,13 +16,15 @@ from flagstab import (
     chow_weight_join,
     chow_weight_numeric,
     chow_weight_single_space,
+    flat_limit,
     hilbert_data,
     hilbert_function,
+    ideal_equal,
     weighted_slice_weight,
 )
 from flagstab.hilbert import PointConfiguration, PreconditionError, eval_poly
 
-from conftest import V, corpus_ideals, twisted_cubic
+from conftest import V, corpus_ideals, small_ideals_with_weights, twisted_cubic
 
 
 CONIC = HomogeneousIdeal(3, [V(3, 0) * V(3, 2) - V(3, 1) ** 2])
@@ -154,6 +157,24 @@ class TestChowWeightNumeric:
         u, a = V(3, 0), V(3, 1)
         with pytest.raises(PreconditionError, match="within the weight spaces"):
             chow_weight_numeric(HomogeneousIdeal(3, [u * a]), OnePS((2, -1, -1)))
+        # x*y*w - z^3 is fixed and its Hilbert series is the product of the
+        # weight spaces' series, yet it mixes three weight spaces
+        x, y, z, w = (V(4, i) for i in range(4))
+        with pytest.raises(PreconditionError, match="within the weight spaces"):
+            chow_weight_numeric(HomogeneousIdeal(4, [x * y * w - z**3]), OnePS((2, -1, 0, -1)))
+
+    @settings(deadline=None, max_examples=40)
+    @given(case=small_ideals_with_weights())
+    def test_fixedness_verdict_matches_the_flat_limit(self, case):
+        ideal, lam = case
+        # a flat limit is always fixed, so both verdicts are exercised
+        for candidate in (ideal, flat_limit(ideal, lam)):
+            try:
+                chow_weight_numeric(candidate, lam)
+                fixed = True
+            except PreconditionError as exc:
+                fixed = "not fixed" not in str(exc)
+            assert fixed == ideal_equal(flat_limit(candidate, lam), candidate)
 
     @pytest.mark.xfail(
         strict=True,
