@@ -91,13 +91,13 @@ class _Tokens:
     def error(self, message: str):
         raise ParseError(message, self.line, self.col0 + self.pos)
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
     def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        """Skip white space; the next character, or "" at the end."""
+        text, pos = self.text, self.pos
+        while pos < len(text) and text[pos].isspace():
+            pos += 1
+        self.pos = pos
+        return text[pos] if pos < len(text) else ""
 
     def take(self) -> str:
         c = self.peek()
@@ -105,7 +105,7 @@ class _Tokens:
         return c
 
     def integer(self) -> int:
-        self.skip_ws()
+        self.peek()
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
@@ -114,7 +114,7 @@ class _Tokens:
         return int(self.text[start : self.pos])
 
     def name(self) -> str:
-        self.skip_ws()
+        self.peek()
         start = self.pos
         while self.pos < len(self.text) and (
             self.text[self.pos].isalnum() or self.text[self.pos] == "_"
@@ -573,9 +573,7 @@ def _flag_check(doc: InputDocument, args) -> StabilityReport:
     flag, g, a0 = _flag(doc), _grading(doc), doc.flag_params.get("a0")
     if doc.stage is None:
         return check_flag_stability(flag, g, a0, check=args.check)
-    stage = nrgit_stage_check(flag, doc.stage, g, a0, check=args.check)
-    verdict = {True: "stable", None: "inconclusive", False: "unstable"}[stage.passed]
-    return StabilityReport((stage,), verdict)
+    return StabilityReport.of((nrgit_stage_check(flag, doc.stage, g, a0, check=args.check),))
 
 
 # command -> (the sections it needs, its handler). "mults if beta" needs

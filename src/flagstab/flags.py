@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .geometry import flat_limit, is_nondegenerate, singular_locus_empty
-from .groebner import canonical_generators, ideal_equal, restrict_to_variables
+from .groebner import canonical_generators, restrict_to_variables
 from .hilbert import (
     PointConfiguration,
     chow_points_stability,
@@ -76,17 +76,14 @@ class HyperplanarFlag:
         return restrict_to_variables(HomogeneousIdeal(self.dim_v, gens), keep)
 
     def configuration(self) -> "FlagConfiguration":
-        return FlagConfiguration(
-            tuple(
-                canonical_generators(self.stratum_ideal(i)) for i in range(self.n + 1)
-            )
-        )
+        return FlagConfiguration(tuple(self.stratum_ideal(i) for i in range(self.n + 1)))
 
 
 @dataclass(frozen=True)
 class FlagConfiguration:
-    """A tuple of n+1 stratum ideals in the full ring; limits of flags
-    live here, since they are generally no longer of the derived form."""
+    """A tuple of n+1 stratum ideals in the full ring, each held by its
+    reduced graded-lex basis, so equal configurations compare equal; limits
+    of flags live here, since they are generally no longer of the derived form."""
 
     strata: tuple[HomogeneousIdeal, ...]
 
@@ -95,15 +92,11 @@ class FlagConfiguration:
             raise ValueError("a configuration needs at least two strata")
         if len({s.nvars for s in self.strata}) != 1:
             raise ValueError("strata must share one ambient ring")
+        object.__setattr__(self, "strata", tuple(map(canonical_generators, self.strata)))
 
     @property
     def n(self) -> int:
         return len(self.strata) - 1
-
-    def equals(self, other: "FlagConfiguration") -> bool:
-        return self.n == other.n and all(
-            ideal_equal(a, b) for a, b in zip(self.strata, other.strata)
-        )
 
 
 @dataclass(frozen=True)
@@ -151,13 +144,11 @@ def flag_limit(
     if not 1 <= i <= flag.n:
         raise ValueError(f"stage must satisfy 1 <= i <= {flag.n}")
     base = flag.stratum_ideal
-    strata: list[HomogeneousIdeal] = [
-        canonical_generators(base(j)) for j in range(i)
-    ]
+    strata = [base(j) for j in range(i)]
     section = [g_.substitute_zero(flag.cut_vars(i - 1)) for g_ in flag.top_ideal.generators]
     for j in range(i, flag.n + 1):
         gens = section + [Polynomial.variable(flag.dim_v, v) for v in flag.cut_vars(j)]
-        strata.append(canonical_generators(HomogeneousIdeal(flag.dim_v, gens)))
+        strata.append(HomogeneousIdeal(flag.dim_v, gens))
     limit = FlagConfiguration(tuple(strata))
     if check:
         if g is None:
@@ -166,9 +157,9 @@ def flag_limit(
         # vector weights b on Z^{i-1} and a on the v's, a < b; the
         # degeneration order stores the negatives
         lam = OnePS(tuple(-w for w in sd.lambda_bracket.weights))
+        # the flat limit is a reduced graded-lex basis, like each stratum
         for j in range(flag.n + 1):
-            recomputed = flat_limit(base(j), lam)
-            if not ideal_equal(recomputed, limit.strata[j]):
+            if flat_limit(base(j), lam) != limit.strata[j]:
                 raise FlagLimitMismatch(
                     f"stage {i}, stratum {j}: flat limit disagrees with the join"
                 )
@@ -211,6 +202,11 @@ class FlagValidationReport:
     ok: bool | None
 
 
+def _conjunction(legs) -> bool | None:
+    """Three-valued and, with None for undecided: the least leg under False < None < True."""
+    return min(legs, key=(False, None, True).index, default=True)
+
+
 def validate_flag(flag: HyperplanarFlag) -> FlagValidationReport:
     """Check the defining predicates of an admissible flag stratumwise."""
     strata = [flag.stratum_subring_ideal(i) for i in range(flag.n + 1)]
@@ -243,14 +239,7 @@ def validate_flag(flag: HyperplanarFlag) -> FlagValidationReport:
 
     hilbert_type = tuple(hd.coefficients for hd in data)
     legs = [dimensions_ok, nondeg, *smooth.values(), points_reduced]
-    if point_stability is not None:
-        legs.append(point_stability == "stable")
-    if any(leg is False for leg in legs):
-        ok: bool | None = False
-    elif any(leg is None for leg in legs) or point_stability is None:
-        ok = None
-    else:
-        ok = True
+    legs.append(None if point_stability is None else point_stability == "stable")
     return FlagValidationReport(
         degree,
         dimensions_ok,
@@ -260,7 +249,7 @@ def validate_flag(flag: HyperplanarFlag) -> FlagValidationReport:
         point_stability,
         "unchecked",
         hilbert_type,
-        ok,
+        _conjunction(legs),
     )
 
 
@@ -281,6 +270,12 @@ class StabilityReport:
     stages: tuple[StageCheck, ...]
     verdict: str  # "stable" | "unstable" | "inconclusive"
 
+    @classmethod
+    def of(cls, stages: tuple[StageCheck, ...]) -> "StabilityReport":
+        """The report whose verdict is the conjunction of the stages."""
+        passed = _conjunction(s.passed for s in stages)
+        return cls(stages, {True: "stable", None: "inconclusive", False: "unstable"}[passed])
+
 
 def nrgit_stage_check(
     flag: HyperplanarFlag,
@@ -297,11 +292,12 @@ def nrgit_stage_check(
         g = standard_grading(flag)
     if g.size != flag.dim_v or g.multiplicities != (flag.dim_w,) + (1,) * flag.n:
         raise ValueError("grading multiplicities must be (dim W, 1, ..., 1)")
-    d = hilbert_data(flag.stratum_subring_ideal(0)).degree
-    if a0 is None:
-        a0 = 10 * flag.n * d
     sd = stage_data(g, i)
     limit = flag_limit(flag, i, g, check=check)
+    # X^0 is the same at every stage; the Chow weight reads its basis too
+    d = hilbert_data(limit.strata[0]).degree
+    if a0 is None:
+        a0 = 10 * flag.n * d
     lam = sd.lambda_bracket
     numeric = a0 * chow_weight_numeric(limit.strata[0], lam)
     for j in range(1, flag.n + 1):
@@ -313,22 +309,15 @@ def nrgit_stage_check(
     stab_dim = configuration_unipotent_stabilizer_dim(limit.strata, g, i)
 
     point_stability: str | None = None
-    if i == 1:
-        if flag.points0 is not None:
-            point_stability = chow_points_stability(flag.points0).verdict
+    if i == 1 and flag.points0 is not None:
+        point_stability = chow_points_stability(flag.points0).verdict
 
-    base = flag.configuration()
-    sweep_excluded = not limit.equals(base)
+    sweep_excluded = limit != flag.configuration()
 
     legs = [weight_ok, stab_dim == 0, sweep_excluded]
     if i == 1:
         legs.append(None if point_stability is None else point_stability == "stable")
-    if any(leg is False for leg in legs):
-        passed: bool | None = False
-    elif any(leg is None for leg in legs):
-        passed = None
-    else:
-        passed = True
+    passed = _conjunction(legs)
     return StageCheck(
         i, numeric, expected, weight_ok, stab_dim, point_stability, sweep_excluded, passed
     )
@@ -341,13 +330,6 @@ def check_flag_stability(
     check: bool = False,
 ) -> StabilityReport:
     """Run every stage check; the verdict is their conjunction."""
-    stages = tuple(
-        nrgit_stage_check(flag, i, g, a0, check=check) for i in range(1, flag.n + 1)
+    return StabilityReport.of(
+        tuple(nrgit_stage_check(flag, i, g, a0, check=check) for i in range(1, flag.n + 1))
     )
-    if any(s.passed is False for s in stages):
-        verdict = "unstable"
-    elif any(s.passed is None for s in stages):
-        verdict = "inconclusive"
-    else:
-        verdict = "stable"
-    return StabilityReport(stages, verdict)

@@ -58,9 +58,13 @@ def normal_form(f: Polynomial, basis, order: TermOrder = GRLEX) -> Polynomial:
 
 def normal_forms(fs, basis, order: TermOrder = GRLEX) -> list[Polynomial]:
     """`normal_form` of each polynomial in fs, with the basis turned into
-    integer divisors once for all of them."""
+    integer divisors once for all of them. The packing bound is checked on
+    the inputs only, and only an order with a dropped block can raise a term's
+    degree in division (by t - x^5, t dropped), so there divisors must be homogeneous."""
     if not fs:
         return []
+    if order.dropped and not all(b.is_homogeneous for b in basis):
+        raise ValueError("under an order with a dropped block the divisors must be homogeneous")
     packing = _packing(order, fs[0].nvars)
     divisors = [_divisor(packing.terms(b)[0]) for b in basis if not b.is_zero]
     out = []

@@ -192,9 +192,7 @@ def hilbert_data(ideal: HomogeneousIdeal) -> HilbertData:
 # -- weighted slice weights and Chow weights ---------------------------
 
 
-def weighted_slice_weight(
-    ideal: HomogeneousIdeal, lam: OnePS, m: int, _leads=None
-) -> int:
+def weighted_slice_weight(ideal: HomogeneousIdeal, lam: OnePS, m: int) -> int:
     """Weight of the degree-m slice of the coordinate ring.
 
     The basis is the set of standard monomials; coordinate functions
@@ -204,11 +202,10 @@ def weighted_slice_weight(
         raise ValueError("weight vector length mismatch")
     if m < 0:
         raise ValueError("degree must be nonnegative")
-    if _leads is None:
-        _leads = buchberger(ideal, weight_order(lam)).leading_monomials()
+    leads = buchberger(ideal, weight_order(lam)).leading_monomials()
     total = 0
     for mono in monomials_of_degree(ideal.nvars, m):
-        if not any(monomial_divides(l, mono) for l in _leads):
+        if not any(monomial_divides(l, mono) for l in leads):
             total += lam.weight(mono)
     return -total
 

@@ -442,6 +442,14 @@ class TestExitCodes:
         code, out, _ = run(capsys, "flag-validate", str(path))
         assert code == 2
 
+    def test_flag_check_stage_out_of_range(self, tmp_path, capsys):
+        # the grading's stage range is checked before the flag limit is built
+        path = tmp_path / "flag.txt"
+        path.write_text("ring x, y, v1\nideal: x^2*y + x*y^2 + v1^3\nflag: n=1\nstage: 5\n")
+        code, out, err = run(capsys, "flag-check", str(path))
+        assert (code, out) == (1, "")
+        assert err == "flagstab: error: stage must satisfy 1 <= i < 2\n"
+
 
 FLAG_HEAD = "ring x, y, v1\nideal: x^2*y + x*y^2 + v1^3\n"
 
@@ -538,6 +546,23 @@ def _flag_corpus_docs() -> list[str]:
     return docs
 
 
+def _refuse_everywhere(monkeypatch, function) -> int:
+    """Rebind `function` to raise in every flagstab module that binds it;
+    returns the number of bindings replaced."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{function.__name__} reached")
+
+    rebound = 0
+    for name, module in list(sys.modules.items()):
+        if name == "flagstab" or name.startswith("flagstab."):
+            for attr, value in list(vars(module).items()):
+                if value is function:
+                    monkeypatch.setattr(module, attr, refuse)
+                    rebound += 1
+    return rebound
+
+
 def test_flag_pipeline_runs_without_the_degreewise_oracle(tmp_path, capsys, monkeypatch):
     """flag-check and flag-validate without --check never reach
     degree_echelon: with it rebound to raise in every flagstab module
@@ -548,20 +573,32 @@ def test_flag_pipeline_runs_without_the_degreewise_oracle(tmp_path, capsys, monk
         paths[-1].write_text(text)
     runs = [(command, str(p)) for p in paths for command in ("flag-check", "flag-validate")]
     expected = [run(capsys, *argv) for argv in runs]
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("degree_echelon reached")
-
-    original = groebner.degree_echelon
-    rebound = 0
-    for name, module in list(sys.modules.items()):
-        if name == "flagstab" or name.startswith("flagstab."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, refuse)
-                    rebound += 1
-    assert rebound >= 2  # groebner itself and at least one importer
+    # groebner itself and at least one importer
+    assert _refuse_everywhere(monkeypatch, groebner.degree_echelon) >= 2
     for argv, (code, out, err) in zip(runs, expected):
+        assert code == 0, argv
+        assert run(capsys, *argv) == (code, out, err)
+
+
+def test_flag_commands_compare_reduced_bases_without_ideal_equal(capsys, monkeypatch):
+    """Flag configurations and the limit-join check hold reduced bases
+    and compare them with ==: with ideal_equal rebound to raise in every
+    flagstab module that binds it, these goldens print the same bytes."""
+    runs = [
+        ("flag-check",),
+        ("flag-check", "--check"),
+        ("flag-check-stage", "--check"),
+        ("flag-limit", "--check"),
+        ("flag-validate",),
+        ("verify-limit-join",),
+    ]
+    argvs = []
+    for stem, *options in runs:
+        doc = GOLDEN / f"{stem}.in"
+        argvs.append((parse_document(doc.read_text()).command, str(doc), *options))
+    expected = [run(capsys, *argv) for argv in argvs]
+    assert _refuse_everywhere(monkeypatch, groebner.ideal_equal) >= 2
+    for argv, (code, out, err) in zip(argvs, expected):
         assert code == 0, argv
         assert run(capsys, *argv) == (code, out, err)
 
@@ -654,12 +691,13 @@ class TestGroebnerMemo:
         assert len(computed) > memoised
 
     @pytest.mark.parametrize(
-        "command, bases", [("chow-weight", 1), ("flat-limit", 1), ("flag-check", 4)]
+        "command, bases", [("chow-weight", 1), ("flat-limit", 1), ("flag-check", 3)]
     )
     def test_bases_computed_per_golden_command(self, capsys, computed, command, bases):
         # chow-weight reads fixedness and the weight-space split off the
         # graded-lex basis of the ideal; flat-limit reads the limit's
-        # graded-lex basis off the weight-order basis of the ideal
+        # graded-lex basis off the weight-order basis of the ideal;
+        # flag-check reads the degree of X^0 off the basis of its Chow weight
         assert run(capsys, command, str(GOLDEN / f"{command}.in"))[0] == 0
         assert len(computed) == bases
 

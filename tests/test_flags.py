@@ -126,12 +126,12 @@ class TestFlagLimit:
         # the limit's top stratum is again of derived form; degenerating
         # it once more changes nothing
         again = HyperplanarFlag(1, 3, limit.strata[1])
-        assert flag_limit(again, 1).equals(limit)
+        assert flag_limit(again, 1) == limit
 
     def test_join_configuration_is_fixed(self):
         x, y = V(3, 0), V(3, 1)
         joinflag = HyperplanarFlag(1, 3, HomogeneousIdeal(3, [x * y * (x + y)]))
-        assert flag_limit(joinflag, 1).equals(joinflag.configuration())
+        assert flag_limit(joinflag, 1) == joinflag.configuration()
 
     def test_stage_out_of_range(self, cubic_flag):
         with pytest.raises(ValueError):

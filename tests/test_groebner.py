@@ -229,6 +229,14 @@ def test_normal_form_of_rational_input_by_any_basis(seed, order):
     assert contains_oracle(HomogeneousIdeal(3, basis), f - r)
 
 
+def test_dropped_order_refuses_an_inhomogeneous_divisor():
+    # t - x^5 with t dropped leads with t, so dividing t^k by it gives x^(5k)
+    t, x = V(2, 0), V(2, 1)
+    with pytest.raises(ValueError, match="homogeneous"):
+        normal_form(t**2, [t - x**5], TermOrder(dropped=(0,)))
+    assert normal_form(t**2, [t - x**5], GRLEX) == t**2  # x^5 leads under graded lex
+
+
 class TestEliminate:
     def test_monomial_restriction(self):
         out = eliminate(HomogeneousIdeal(3, [V(3, 0), V(3, 1)]), {1, 2})

@@ -60,6 +60,28 @@ def test_reads_every_module():
     assert "__init__" in graph["cli"]  # `from . import __version__`
 
 
+def unused_imports(source: str) -> list[str]:
+    """Names the module's imports bind, at any level, that it never uses."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            bound.update((a.asname or a.name).split(".")[0] for a in node.names)
+    return sorted(bound - {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)})
+
+
+def test_unused_imports():
+    source = "from __future__ import annotations\nimport os.path\nfrom .a import b, c as d\nb(d)\n"
+    assert unused_imports(source) == ["os"]
+
+
+def test_no_unused_imports():
+    unused = {
+        p.stem: unused_imports(p.read_text()) for p in PACKAGE.glob("*.py") if p.stem != "__init__"
+    }
+    assert not any(unused.values()), unused
+
+
 def test_no_import_cycle():
     cycle = find_cycle(relative_imports())
     assert cycle is None, " -> ".join(cycle)
