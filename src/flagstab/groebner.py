@@ -31,7 +31,6 @@ from .poly import (
     Polynomial,
     TermOrder,
     monomial_div,
-    monomial_divides,
     monomial_lcm,
     monomials_of_degree,
 )
@@ -229,16 +228,21 @@ def _buchberger(ideal: HomogeneousIdeal, order: TermOrder) -> GroebnerBasis:
     S-polynomials reduced fraction-free; only the monic result is rational.
     """
     packing = _packing(order, ideal.nvars)
+    if len(ideal.generators) == 1:  # a principal ideal's basis is its generator
+        (f,) = ideal.generators
+        packing.check(f.degree())
+        return GroebnerBasis((f.monic(order),), order)
     basis: list[tuple] = []  # packed (lead, lead coefficient, tail), as `_divisor` gives
     leads: list[Monomial] = []  # the same leads as exponent tuples
-    pairs: list[tuple[int, Monomial, int, int]] = []  # (deg lcm, lcm, i, j), largest first
+    # (deg lcm, lcm, i, j, packed lcm), largest first
+    pairs: list[tuple[int, Monomial, int, int, int]] = []
     for g in ideal.generators:
         _add_to_basis(_divisor(packing.terms(g)[0]), basis, leads, pairs, packing)
     while pairs:
-        _, l, i, j = pairs.pop()
+        *_, i, j, pl = pairs.pop()
         # dividing x^(l - lead i)*basis[i] by basis[j] first forms their S-polynomial
         mi, ci, tail = basis[i]
-        shift = packing.pack(l) - mi
+        shift = pl - mi
         work = {m + shift: c for m, c in [(mi, ci), *tail]}
         r, _ = _divide(work, [basis[j], *basis], packing.mask)
         if r:
@@ -247,49 +251,51 @@ def _buchberger(ideal: HomogeneousIdeal, order: TermOrder) -> GroebnerBasis:
 
 
 def _add_to_basis(g: tuple, basis: list, leads: list, pairs: list, packing: _Packing) -> None:
-    """Append g to the basis and apply the Gebauer-Moeller update to the pairs."""
-    k = len(basis)
-    lk = packing.unpack(g[0])
+    """Append g to the basis and apply the Gebauer-Moeller update to the
+    pairs, testing divisibility on packed lcms as `_divide` does."""
+    k, mk, mask = len(basis), g[0], packing.mask
+    lk = packing.unpack(mk)
+    new = [monomial_lcm(lead, lk) for lead in leads]
+    packed = [packing.pack(l) for l in new]
     basis.append(g)
     leads.append(lk)
     # old pair (i, j) whose lcm lead(k) divides, unless lcm(i, k) or
     # lcm(j, k) equals lcm(i, j): (i, k) and (j, k) cover it
     pairs[:] = [
-        (d, l, i, j)
-        for d, l, i, j in pairs
-        if not monomial_divides(lk, l)
-        or monomial_lcm(leads[i], lk) == l
-        or monomial_lcm(leads[j], lk) == l
+        (d, l, i, j, pl)
+        for d, l, i, j, pl in pairs
+        if (pl - mk) & mask or packed[i] == pl or packed[j] == pl
     ]
-    new = [monomial_lcm(leads[i], lk) for i in range(k)]
-    groups: dict[Monomial, list[int]] = {}
-    for i, l in enumerate(new):
+    groups: dict[int, list[int]] = {}
+    for i, pl in enumerate(packed):
         # drop (i, k) when another new pair's lcm properly divides its lcm
-        if not any(m != l and monomial_divides(m, l) for m in new):
-            groups.setdefault(l, []).append(i)
-    for l, members in groups.items():
+        if not any(pm != pl and not (pl - pm) & mask for pm in packed):
+            groups.setdefault(pl, []).append(i)
+    for pl, members in groups.items():
+        l = new[members[0]]
         d = sum(l)
         # one pair per lcm; none when a pair of the group has coprime leads
         if all(d < sum(leads[i]) + sum(lk) for i in members):
-            pairs.append((d, l, members[0], k))
+            pairs.append((d, l, members[0], k, pl))
     pairs.sort(reverse=True)
 
 
 def _interreduce(basis: list[tuple], leads: list[Monomial], packing: _Packing) -> list[Polynomial]:
     # drop members whose lead is divisible by another lead
+    mask, heads = packing.mask, [g[0] for g in basis]
     kept = [
         i
-        for i, mg in enumerate(leads)
+        for i, mg in enumerate(heads)
         if not any(
-            j != i and monomial_divides(mh, mg) and (mh != mg or j < i)
-            for j, mh in enumerate(leads)
+            j != i and not (mg - mh) & mask and (mh != mg or j < i)
+            for j, mh in enumerate(heads)
         )
     ]
     kept.sort(key=lambda i: (sum(leads[i]), basis[i][0]))  # reducing keeps each lead
     kept = [basis[i] for i in kept]
     out = []
     for i, (mg, cg, tail) in enumerate(kept):
-        r, _ = _divide(dict([(mg, cg), *tail]), kept[:i] + kept[i + 1 :], packing.mask)
+        r, _ = _divide(dict([(mg, cg), *tail]), kept[:i] + kept[i + 1 :], mask)
         out.append(packing.polynomial(r, r[mg]))
     return out
 

@@ -362,8 +362,9 @@ def chow_points_stability(cfg: PointConfiguration) -> StabilityVerdict:
     #(Y cap Z)/d < (dim Z + 1)/dim W; the maximum of the left side at
     fixed dimension is attained on spans of configuration points, so
     spans of support subsets are enumerated. Points are counted with
-    multiplicity. Ties in the witness break toward the lexicographically
-    smallest index subset.
+    multiplicity. Ties in the witness break toward the subset enumerated
+    first: smallest size, then lexicographic order of support positions;
+    a span already met keeps the subset that first reached it.
     """
     d = cfg.length
     support = cfg.support()

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 Monomial = tuple[int, ...]
@@ -41,10 +42,12 @@ def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def monomials_of_degree(nvars: int, d: int) -> list[Monomial]:
-    """All degree-d monomials in nvars variables, lexicographically sorted."""
+@lru_cache(maxsize=256)
+def monomials_of_degree(nvars: int, d: int) -> tuple[Monomial, ...]:
+    """All degree-d monomials in nvars variables, lexicographically sorted
+    (descending). Cached, so the result is an immutable tuple."""
     if nvars == 0:
-        return [()] if d == 0 else []
+        return ((),) if d == 0 else ()
     out = []
     for bars in combinations(range(d + nvars - 1), nvars - 1):
         exps = []
@@ -55,7 +58,7 @@ def monomials_of_degree(nvars: int, d: int) -> list[Monomial]:
         exps.append(d + nvars - 2 - prev)
         out.append(tuple(exps))
     out.sort(reverse=True)
-    return out
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -347,13 +350,15 @@ class Polynomial:
                 elif e > 1:
                     factors.append(f"{names[i]}^{e}")
             mono = "*".join(factors)
+            a, den = abs(c.numerator), c.denominator
+            coef = f"{a}/{den}" if den != 1 else str(a)  # as `str(abs(c))` writes it
             if not mono:
-                body = str(abs(c))
-            elif abs(c) == 1:
+                body = coef
+            elif coef == "1":
                 body = mono
             else:
-                body = f"{abs(c)}*{mono}"
-            sign = "-" if c < 0 else "+"
+                body = f"{coef}*{mono}"
+            sign = "-" if c.numerator < 0 else "+"
             parts.append((sign, body))
         first_sign, first_body = parts[0]
         out = ("-" if first_sign == "-" else "") + first_body

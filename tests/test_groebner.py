@@ -24,6 +24,7 @@ from flagstab import (
     s_polynomial,
     weight_order,
 )
+from flagstab import groebner
 from flagstab.groebner import _Packing, restrict_to_variables
 from flagstab.poly import monomial_divides
 
@@ -339,6 +340,55 @@ def test_degree_past_the_packing_bound_raises():
     )
     with pytest.raises(ValueError, match="degree"):
         buchberger(ideal)
+
+
+@pytest.mark.parametrize(
+    "order", [weight_order(OnePS((3, -1, -1))), TermOrder(dropped=(2,))], ids=["weight", "dropped"]
+)
+def test_principal_ideal_skips_the_division_kernel(order, monkeypatch):
+    """A one-generator basis is the generator made monic under the order,
+    here with another lead than under graded lex."""
+
+    def refuse(*args):
+        raise AssertionError("_divide entered on a principal ideal")
+
+    monkeypatch.setattr(groebner, "_divide", refuse)
+    x, y, z = (V(3, i) for i in range(3))
+    (f,) = HomogeneousIdeal(3, [x**2 + 3 * x * y - 2 * y * z]).generators
+    assert f.leading(order)[0] != f.leading(GRLEX)[0]
+    assert buchberger(HomogeneousIdeal(3, [f]), order).basis == (f.monic(order),)
+    assert f.monic(order).leading(order)[1] == 1
+
+
+# `_divide` calls of one basis computation, final interreduction included,
+# under GRLEX, a weight order and TermOrder(dropped=(0,)), as pair pruning
+# on exponent tuples made them: the packed criteria prune the same pairs
+DIVIDE_CALLS = [
+    (35, 10, 35), (38, 14, 38), (23, 18, 23), (19, 19, 19), (38, 14, 38), (29, 14, 29),
+    (34, 18, 34), (23, 18, 23), (38, 15, 38), (30, 15, 30), (3, 3, 3), (2, 5, 2),
+    (10, 9, 10), (17, 19, 17), (21, 17, 21), (8, 8, 8), (19, 18, 19), (11, 8, 11),
+    (33, 6, 33), (8, 6, 8), (10, 10, 10), (15, 15, 15), (8, 5, 8),
+]  # fmt: skip
+
+
+@pytest.mark.parametrize(
+    "ideal, calls", zip(RANDOM_IDEALS + WIDE_IDEALS, DIVIDE_CALLS), ids=RANDOM_IDS
+)
+def test_pair_pruning_keeps_the_division_count(ideal, calls, monkeypatch):
+    divide, count = groebner._divide, [0]
+
+    def counting(*args):
+        count[0] += 1
+        return divide(*args)
+
+    monkeypatch.setattr(groebner, "_divide", counting)
+    weights = (3,) + (-1,) * (ideal.nvars - 1)
+    got = []
+    for order in (GRLEX, weight_order(OnePS(weights)), TermOrder(dropped=(0,))):
+        count[0] = 0
+        groebner._buchberger(ideal, order)
+        got.append(count[0])
+    assert tuple(got) == calls
 
 
 @pytest.mark.parametrize("ideal", RANDOM_IDEALS[:6] + WIDE_IDEALS[:3])

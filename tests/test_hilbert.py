@@ -286,6 +286,18 @@ class TestChowPointsStability:
         cfg = PointConfiguration.from_coords([(1, 0), (0, 1)])
         assert chow_points_stability(cfg).verdict == "strictly_semistable"
 
+    def test_witness_ties_break_by_size_before_lex_order(self):
+        # the doubled point (0,1,0) and the line z = 0 through points 0, 1
+        # both reach margin 0; the single point is enumerated first, so it
+        # wins over the lexicographically smaller (0, 1)
+        cfg = PointConfiguration.from_coords(
+            [(1, 0, 0), (0, 1, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (1, 1, 1)]
+        )
+        verdict = chow_points_stability(cfg)
+        assert verdict.verdict == "strictly_semistable"
+        assert verdict.witness_indices == (1,)
+        assert (verdict.witness_dim, verdict.witness_count, verdict.margin) == (0, 2, 0)
+
     def test_projective_invariance(self):
         base = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)]
         # apply an invertible change of coordinates (x,y,z) -> (x+z, y-x, z)
