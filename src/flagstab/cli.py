@@ -8,10 +8,10 @@ Exit codes: 0 computed (even when a verdict is negative), 1 input error,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from math import comb
 from operator import add
 
@@ -376,7 +376,7 @@ def parse_document(text: str) -> InputDocument:
 
 
 def fmt_q(x) -> str:
-    x = Fraction(x)
+    """An int or `Fraction` as "p/q", or "p" when q = 1."""
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
@@ -397,7 +397,7 @@ def _plain(value, names: list[str], order: TermOrder):
         return [_plain(v, names, order) for v in value]
     if isinstance(value, HomogeneousIdeal):
         gens = sorted(
-            value.generators, key=lambda g: (g.degree(), order.key(g.leading(order)[0]))
+            value.generators, key=lambda g: (g.degree(), max(map(order.key, g.ints)))
         )
         return _plain(gens, names, order)
     return _plain({f.name: getattr(value, f.name) for f in fields(value)}, names, order)
@@ -409,9 +409,31 @@ def _doc_order(doc: InputDocument) -> TermOrder:
     return GRLEX
 
 
+def _json(value, indent: str = "\n") -> str:
+    """`json.dumps(value, sort_keys=True, indent=2)` for the JSON types
+    `_plain` gives, with strings through the C encoder; with an indent,
+    `json.dumps` runs the pure-Python one."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or isinstance(value, bool):
+        return {None: "null", True: "true", False: "false"}[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    sep = "," + inner
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = (f"{encode_basestring_ascii(k)}: {_json(value[k], inner)}" for k in sorted(value))
+        return "{" + inner + sep.join(items) + indent + "}"
+    if not value:
+        return "[]"
+    return "[" + inner + sep.join(_json(v, inner) for v in value) + indent + "]"
+
+
 def render(out: dict, mode: str) -> str:
     if mode == "json":
-        return json.dumps(out, sort_keys=True, indent=2) + "\n"
+        return _json(out) + "\n"
     lines: list[str] = []
 
     def walk(prefix: str, value):

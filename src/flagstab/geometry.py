@@ -89,7 +89,7 @@ def flat_limit_oracle(
         by_index = {i: m for m, i in columns.items()}
         _, ech = degree_echelon(ideal, d, columns=columns)
         for row in ech.reduced_rows():
-            poly = Polynomial(ideal.nvars, {by_index[c]: Fraction(v) for c, v in row.items()})
+            poly = Polynomial(ideal.nvars, {by_index[c]: v for c, v in row.items()})
             gens.append(initial_part(poly, lam))
     return HomogeneousIdeal(ideal.nvars, gens)
 

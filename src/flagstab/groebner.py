@@ -19,7 +19,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import add, mul
 
 from .linalg import Echelon, row_from_fractions
@@ -65,12 +65,11 @@ def normal_forms(fs, basis, order: TermOrder = GRLEX) -> list[Polynomial]:
     if order.dropped and not all(b.is_homogeneous for b in basis):
         raise ValueError("under an order with a dropped block the divisors must be homogeneous")
     packing = _packing(order, fs[0].nvars)
-    divisors = [_divisor(packing.terms(b)[0]) for b in basis if not b.is_zero]
+    divisors = [_divisor(packing.terms(b)) for b in basis if not b.is_zero]
     out = []
     for f in fs:
-        work, den = packing.terms(f)
-        r, scale = _divide(work, divisors, packing.mask)
-        out.append(packing.polynomial(r, den * scale))
+        r, scale = _divide(packing.terms(f), divisors, packing.mask)
+        out.append(packing.polynomial(r, f.num, f.den * scale))
     return out
 
 
@@ -113,20 +112,17 @@ class _Packing:
         low = (1 << self.width) - 1
         return tuple([p >> s & low for s in self.shifts])
 
-    def terms(self, f: Polynomial) -> tuple[dict[int, int], int]:
-        """D*f as a packed integer term dict, with D the lcm of f's denominators."""
+    def terms(self, f: Polynomial) -> dict[int, int]:
+        """f's primitive integer part as a packed term dict."""
         self.check(f.degree())
-        den, units = lcm(*(c.denominator for c in f.terms.values())), self.units
-        return {
-            sum(map(mul, m, units)): c.numerator * (den // c.denominator)
-            for m, c in f.terms.items()
-        }, den
+        units = self.units
+        return {sum(map(mul, m, units)): c for m, c in f.ints.items()}
 
-    def polynomial(self, terms: dict[int, int], den: int) -> Polynomial:
-        """The packed integer term dict over den; `unpack` inlined for speed."""
+    def polynomial(self, terms: dict[int, int], num: int, den: int) -> Polynomial:
+        """num/den times the packed integer term dict; `unpack` inlined for speed."""
         low, shifts = (1 << self.width) - 1, self.shifts
-        t = {tuple([m >> s & low for s in shifts]): Fraction(c, den) for m, c in terms.items()}
-        return Polynomial(len(shifts), t)
+        t = {tuple([m >> s & low for s in shifts]): c for m, c in terms.items()}
+        return Polynomial.from_ints(len(shifts), t, num, den)
 
 
 # a packing depends on (order, nvars) alone, and a command meets few of them
@@ -182,7 +178,7 @@ class GroebnerBasis:
     order: TermOrder
 
     def leading_monomials(self) -> list[Monomial]:
-        return [g.leading(self.order)[0] for g in self.basis]
+        return [max(g.ints, key=self.order.key) for g in self.basis]
 
     def reduce(self, f: Polynomial) -> Polynomial:
         return normal_form(f, self.basis, self.order)
@@ -237,7 +233,7 @@ def _buchberger(ideal: HomogeneousIdeal, order: TermOrder) -> GroebnerBasis:
     # (deg lcm, lcm, i, j, packed lcm), largest first
     pairs: list[tuple[int, Monomial, int, int, int]] = []
     for g in ideal.generators:
-        _add_to_basis(_divisor(packing.terms(g)[0]), basis, leads, pairs, packing)
+        _add_to_basis(_divisor(packing.terms(g)), basis, leads, pairs, packing)
     while pairs:
         *_, i, j, pl = pairs.pop()
         # dividing x^(l - lead i)*basis[i] by basis[j] first forms their S-polynomial
@@ -296,7 +292,7 @@ def _interreduce(basis: list[tuple], leads: list[Monomial], packing: _Packing) -
     out = []
     for i, (mg, cg, tail) in enumerate(kept):
         r, _ = _divide(dict([(mg, cg), *tail]), kept[:i] + kept[i + 1 :], mask)
-        out.append(packing.polynomial(r, r[mg]))
+        out.append(packing.polynomial(r, 1, r[mg]))
     return out
 
 
@@ -364,9 +360,7 @@ def degree_echelon(
         e = g.degree()
         if e > d:
             continue
-        # g cleared to integers once; `insert` normalises each shifted row
-        den = lcm(*(c.denominator for c in g.terms.values()))
-        terms = [(t, c.numerator * (den // c.denominator)) for t, c in g.terms.items()]
+        terms = g.ints.items()  # `insert` normalises each shifted row
         for m in monomials_of_degree(ideal.nvars, d - e):
             ech.insert({columns[tuple(map(add, m, t))]: c for t, c in terms})
     return columns, ech

@@ -47,8 +47,10 @@ def hilbert_function(ideal: HomogeneousIdeal, m: int) -> int:
     return comb(m + ideal.nvars - 1, ideal.nvars - 1) - ech.rank
 
 
-def eval_poly(coeffs: tuple[Fraction, ...], t: int) -> Fraction:
-    total = Fraction(0)
+def eval_poly(coeffs, t: int):
+    """The polynomial with these coefficients (ascending powers) at t;
+    exact for integer and `Fraction` coefficients alike."""
+    total = 0
     for c in reversed(coeffs):
         total = total * t + c
     return total
@@ -134,12 +136,13 @@ def _coefficient(q: list[int], d: int, m: int) -> int:
     return sum(c * comb(m - k + d - 1, d - 1) for k, c in enumerate(q[: m + 1]))
 
 
-def _eventual_polynomial(q: list[int], d: int) -> tuple[Fraction, ...]:
-    """The polynomial in m equal to _coefficient(q, d, m) for m >= len(q) - d:
-    the sum of q_k * binom(m - k + d - 1, d - 1), ascending powers of m."""
-    total = [Fraction(0)] * max(d, 1)
+def _eventual_polynomial(q: list[int], d: int) -> tuple[list[int], int]:
+    """(E, k) with E/k the polynomial in m equal to _coefficient(q, d, m) for
+    m >= len(q) - d: E is the sum of q_k * (m - k + 1)...(m - k + d - 1) in
+    ascending powers of m, with integer coefficients, and k = (d - 1)!."""
+    total = [0] * max(d, 1)
     for k, c in enumerate(q if d else ()):
-        term = [Fraction(c, factorial(d - 1))]
+        term = [c]
         for j in range(1, d):  # times (m - k + j)
             term = [
                 (term[i - 1] if i else 0) + (j - k) * (term[i] if i < len(term) else 0)
@@ -148,7 +151,7 @@ def _eventual_polynomial(q: list[int], d: int) -> tuple[Fraction, ...]:
         total = [a + b for a, b in zip(total, term)]
     while len(total) > 1 and total[-1] == 0:
         total.pop()
-    return tuple(total)
+    return total, factorial(max(d - 1, 0))
 
 
 @dataclass(frozen=True)
@@ -168,12 +171,12 @@ def hilbert_data(ideal: HomogeneousIdeal) -> HilbertData:
     largest m with HF(m) != HP(m), or 0) and the Hilbert function on a
     window of degrees reaching past stabilization."""
     q, d = _cancel(_numerator(buchberger(ideal, GRLEX).leading_monomials()), ideal.nvars)
-    coeffs = _eventual_polynomial(q, d)
+    e, k = _eventual_polynomial(q, d)
     stab = next(
         (
             m + 1
             for m in range(len(q) - d - 1, -1, -1)
-            if _coefficient(q, d, m) != eval_poly(coeffs, m)
+            if k * _coefficient(q, d, m) != eval_poly(e, m)
         ),
         0,
     )
@@ -186,6 +189,7 @@ def hilbert_data(ideal: HomogeneousIdeal) -> HilbertData:
     s = start + max(0, -((start - stab) // n)) * n
     window = range(min(start, max(stab - 1, 0)), s + 3 * n + 2)
     hf = {m: _coefficient(q, d, m) for m in window}
+    coeffs = tuple(Fraction(c, k) for c in e)
     return HilbertData(hf, coeffs, stab, d - 1, sum(q) if d else 0)
 
 
@@ -234,7 +238,7 @@ def chow_weight_numeric(ideal: HomogeneousIdeal, lam: OnePS) -> Fraction:
     if not lam.sl_normalized:
         raise PreconditionError("weight vector must sum to zero")
     gb = buchberger(ideal, GRLEX)
-    if any(len({lam.weight(m) for m in g.terms}) > 1 for g in gb.basis):
+    if any(len({lam.weight(m) for m in g.ints}) > 1 for g in gb.basis):
         raise PreconditionError("ideal is not fixed by the weight vector")
     leads = gb.leading_monomials()
     num = _numerator(leads)

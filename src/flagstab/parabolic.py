@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .linalg import determinant, rank_of_rows
+from .linalg import Echelon, determinant
 from .groebner import buchberger, normal_forms
 from .poly import GRLEX, OnePS, Polynomial
 
@@ -225,7 +225,7 @@ def configuration_unipotent_stabilizer_dim(ideals, g: GradedOnePS, j: int) -> in
     if not 1 <= j < g.ell:
         raise ValueError(f"stage must satisfy 1 <= j < {g.ell}")
     entries = _bracket_entries(g, j)
-    rows: list[dict[int, Fraction]] = [{} for _ in entries]
+    rows: list[list] = [[] for _ in entries]  # per entry, (num, den, {column: int}) per cell
     columns: dict[tuple, int] = {}  # (ideal index, generator index, monomial)
     for a, ideal in enumerate(ideals):
         if ideal.nvars != g.size:
@@ -237,6 +237,11 @@ def configuration_unipotent_stabilizer_dim(ideals, g: GradedOnePS, j: int) -> in
         ]
         reduced = normal_forms([moved for _, _, moved in cells], buchberger(ideal, GRLEX).basis)
         for (b, row, _), nf in zip(cells, reduced):
-            for m, v in nf.terms.items():
-                row[columns.setdefault((a, b, m), len(columns))] = v
-    return len(entries) - rank_of_rows(rows)
+            part = {columns.setdefault((a, b, m), len(columns)): v for m, v in nf.ints.items()}
+            row.append((nf.num, nf.den, part))
+    ech = Echelon()
+    for row in rows:
+        # over one common denominator: the row is scaled, its rank kept
+        den = lcm(*(d for _, d, _ in row))
+        ech.insert({k: v * num * (den // d) for num, d, part in row for k, v in part.items()})
+    return len(entries) - ech.rank

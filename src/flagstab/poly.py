@@ -1,7 +1,9 @@
 """Exact-rational multivariate polynomials, weight vectors and term orders.
 
-Monomials are exponent tuples. Coefficients are `fractions.Fraction`
-throughout; nothing is ever rounded.
+Monomials are exponent tuples. A polynomial is held as a positive
+rational content num/den times a primitive integer term dict, so its
+arithmetic runs on integers and nothing is ever rounded; `terms` shows
+the coefficients as `fractions.Fraction`s.
 
 A weight vector (`OnePS`) assigns an integer to each variable and the
 weight of a monomial x^a is the literal sum a_i * r_i. The initial part
@@ -15,17 +17,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import gcd, lcm, prod
+from operator import add
 
 Monomial = tuple[int, ...]
-Scalar = Fraction
 
 
 class DimensionError(ValueError):
     """Lengths of monomials / weight vectors / rings do not match."""
-
-
-def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def monomial_divides(a: Monomial, b: Monomial) -> bool:
@@ -141,71 +140,100 @@ def compare(a: Monomial, b: Monomial, order: TermOrder = GRLEX) -> int:
     return (ka > kb) - (ka < kb)
 
 
-def _as_scalar(v) -> Fraction:
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, int):
-        return Fraction(v)
-    raise TypeError(f"not an exact scalar: {v!r}")
-
-
 class Polynomial:
-    """Multivariate polynomial with exact rational coefficients."""
+    """Multivariate polynomial with exact rational coefficients, held as
+    content times primitive part: `ints` maps monomials to nonzero integers
+    with gcd 1, and the content num/den is positive and in lowest terms.
+    The form is canonical; zero has no terms and content 1. Polynomials
+    are immutable, so they may share their `ints` dicts.
+    """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "ints", "num", "den")
 
     def __init__(self, nvars: int, terms=None):
-        clean: dict[Monomial, Fraction] = {}
+        clean = {}
         for m, c in (terms or {}).items():
             if len(m) != nvars:
                 raise DimensionError(f"monomial {m} does not have {nvars} exponents")
-            c = _as_scalar(c)
-            if c != 0:
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"not an exact scalar: {c!r}")
+            if c:
                 clean[tuple(m)] = c
-        self.nvars = nvars
-        self.terms = clean
+        den = lcm(*(c.denominator for c in clean.values()))
+        ints = {m: c.numerator * (den // c.denominator) for m, c in clean.items()}
+        self._normalize(nvars, ints, 1, den)
+
+    def _normalize(self, nvars: int, ints: dict, num: int, den: int) -> None:
+        if not ints:
+            num = den = 1
+        else:
+            g = gcd(*ints.values())
+            if g != 1:
+                ints = {m: c // g for m, c in ints.items()}
+                num *= g
+            h = gcd(num, den)
+            num, den = num // h, den // h
+        self.nvars, self.ints, self.num, self.den = nvars, ints, num, den
+
+    @classmethod
+    def from_ints(cls, nvars: int, ints: dict, num: int = 1, den: int = 1) -> "Polynomial":
+        """(num/den) * ints, for integer terms without zeros and num, den > 0;
+        trusted, so nothing is checked and `ints` is kept, not copied."""
+        p = cls.__new__(cls)
+        p._normalize(nvars, ints, num, den)
+        return p
+
+    @classmethod
+    def _canonical(cls, nvars: int, ints: dict, num: int, den: int) -> "Polynomial":
+        """Wrap fields already in canonical form."""
+        p = cls.__new__(cls)
+        p.nvars, p.ints, p.num, p.den = nvars, ints, num, den
+        return p
 
     @classmethod
     def zero(cls, nvars: int) -> "Polynomial":
-        return cls(nvars)
+        return cls._canonical(nvars, {}, 1, 1)
 
     @classmethod
     def constant(cls, nvars: int, c) -> "Polynomial":
-        return cls(nvars, {(0,) * nvars: _as_scalar(c)})
+        return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
     def variable(cls, nvars: int, i: int) -> "Polynomial":
         exps = [0] * nvars
         exps[i] = 1
-        return cls(nvars, {tuple(exps): Fraction(1)})
+        return cls._canonical(nvars, {tuple(exps): 1}, 1, 1)
 
     @classmethod
     def from_monomial(cls, m: Monomial, c=1) -> "Polynomial":
-        return cls(len(m), {tuple(m): _as_scalar(c)})
+        return cls(len(m), {tuple(m): c})
 
     # -- basic queries -------------------------------------------------
 
     @property
+    def terms(self) -> dict[Monomial, Fraction]:
+        """The coefficients as `Fraction`s, in a fresh dict."""
+        num, den = self.num, self.den
+        return {m: Fraction(c * num, den) for m, c in self.ints.items()}
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.ints
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(m) for m in self.terms)
+        return max(map(sum, self.ints), default=-1)
 
     @property
     def is_homogeneous(self) -> bool:
-        degs = {sum(m) for m in self.terms}
-        return len(degs) <= 1
+        return len(set(map(sum, self.ints))) <= 1
 
     def coefficient(self, m: Monomial) -> Fraction:
-        return self.terms.get(tuple(m), Fraction(0))
+        return Fraction(self.ints.get(tuple(m), 0) * self.num, self.den)
 
     def variables_used(self) -> set[int]:
         used: set[int] = set()
-        for m in self.terms:
+        for m in self.ints:
             used.update(i for i, e in enumerate(m) if e)
         return used
 
@@ -219,33 +247,54 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(self.nvars, other)
         self._check(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, Fraction(0)) + c
-        return Polynomial(self.nvars, terms)
+        if not other.ints:
+            return self
+        if not self.ints:
+            return other
+        den = lcm(self.den, other.den)
+        a, b = self.num * (den // self.den), other.num * (den // other.den)
+        ints = {m: a * c for m, c in self.ints.items()}
+        for m, c in other.ints.items():
+            v = ints.get(m, 0) + b * c
+            if v:
+                ints[m] = v
+            else:
+                del ints[m]
+        return Polynomial.from_ints(self.nvars, ints, 1, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.nvars, {m: -c for m, c in self.terms.items()})
+        ints = {m: -c for m, c in self.ints.items()}
+        return Polynomial._canonical(self.nvars, ints, self.num, self.den)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Polynomial) else -_as_scalar(other))
+        return self + -other
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _as_scalar(other)
-            return Polynomial(self.nvars, {m: c * v for m, v in self.terms.items()})
+            if not other or not self.ints:
+                return Polynomial.zero(self.nvars)
+            ints = self.ints if other > 0 else (-self).ints
+            num, den = self.num * abs(other.numerator), self.den * other.denominator
+            h = gcd(num, den)
+            return Polynomial._canonical(self.nvars, ints, num // h, den // h)
         self._check(other)
-        terms: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = monomial_mul(m1, m2)
-                terms[m] = terms.get(m, Fraction(0)) + c1 * c2
-        return Polynomial(self.nvars, terms)
+        ints: dict[Monomial, int] = {}
+        for m1, c1 in self.ints.items():
+            for m2, c2 in other.ints.items():
+                m = tuple(map(add, m1, m2))
+                ints[m] = ints.get(m, 0) + c1 * c2
+        ints = {m: c for m, c in ints.items() if c}
+        if not ints:
+            return Polynomial.zero(self.nvars)
+        # a product of primitive parts is primitive (Gauss's lemma)
+        g, h = gcd(self.num, other.den), gcd(other.num, self.den)
+        num = (self.num // g) * (other.num // h)
+        return Polynomial._canonical(self.nvars, ints, num, (self.den // h) * (other.den // g))
 
     __rmul__ = __mul__
 
@@ -266,83 +315,94 @@ class Polynomial:
         return (
             isinstance(other, Polynomial)
             and self.nvars == other.nvars
-            and self.terms == other.terms
+            and self.num == other.num
+            and self.den == other.den
+            and self.ints == other.ints
         )
 
     def __hash__(self):
-        # by support: hashing `Fraction`s is slow; equality checks coefficients
-        return hash((self.nvars, frozenset(self.terms)))
+        # by support: cheap, and equal polynomials have equal supports
+        return hash((self.nvars, frozenset(self.ints)))
 
     # -- structure -----------------------------------------------------
 
     def leading(self, order: TermOrder = GRLEX) -> tuple[Monomial, Fraction]:
-        if not self.terms:
+        if not self.ints:
             raise ValueError("zero polynomial has no leading term")
-        m = max(self.terms, key=order.key)
-        return m, self.terms[m]
+        m = max(self.ints, key=order.key)
+        return m, Fraction(self.ints[m] * self.num, self.den)
 
     def monic(self, order: TermOrder = GRLEX) -> "Polynomial":
-        if not self.terms:
+        if not self.ints:
             return self
-        _, c = self.leading(order)
-        return self if c == 1 else self * (1 / c)
+        return self._monic(max(self.ints, key=order.key))
 
-    def sorted_terms(self, order: TermOrder = GRLEX) -> list[tuple[Monomial, Fraction]]:
-        return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
+    def _monic(self, lead: Monomial) -> "Polynomial":
+        """Made monic at the given monomial of the support."""
+        c = self.ints[lead]
+        if c < 0:
+            return Polynomial._canonical(self.nvars, (-self).ints, 1, -c)
+        if self.num == 1 and self.den == c:
+            return self
+        return Polynomial._canonical(self.nvars, self.ints, 1, c)
 
     def partial(self, i: int) -> "Polynomial":
-        terms: dict[Monomial, Fraction] = {}
-        for m, c in self.terms.items():
-            if m[i]:
-                m2 = list(m)
-                m2[i] -= 1
-                terms[tuple(m2)] = terms.get(tuple(m2), Fraction(0)) + c * m[i]
-        return Polynomial(self.nvars, terms)
+        ints = {}  # m -> m - e_i is one-to-one, so no two terms meet
+        for m, c in self.ints.items():
+            e = m[i]
+            if e:
+                ints[m[:i] + (e - 1,) + m[i + 1 :]] = c * e
+        return Polynomial.from_ints(self.nvars, ints, self.num, self.den)
 
     def substitute_zero(self, indices) -> "Polynomial":
         """Set the given variables to zero (result stays in the same ring)."""
         idx = set(indices)
-        terms = {m: c for m, c in self.terms.items() if all(m[i] == 0 for i in idx)}
-        return Polynomial(self.nvars, terms)
+        ints = {m: c for m, c in self.ints.items() if all(m[i] == 0 for i in idx)}
+        return Polynomial.from_ints(self.nvars, ints, self.num, self.den)
 
     def map_variables(self, mapping: dict[int, int], new_nvars: int) -> "Polynomial":
         """Reinterpret in a ring with new_nvars variables via an index map."""
-        terms: dict[Monomial, Fraction] = {}
-        for m, c in self.terms.items():
+        ints = {}
+        for m, c in self.ints.items():
             exps = [0] * new_nvars
             for i, e in enumerate(m):
                 if e:
                     if i not in mapping:
                         raise DimensionError(f"variable {i} has no image")
                     exps[mapping[i]] = e
-            terms[tuple(exps)] = c
-        return Polynomial(new_nvars, terms)
+            ints[tuple(exps)] = c
+        return Polynomial.from_ints(new_nvars, ints, self.num, self.den)
 
     def evaluate(self, point) -> Fraction:
-        vals = [_as_scalar(v) for v in point]
-        if len(vals) != self.nvars:
+        if not all(isinstance(v, (int, Fraction)) for v in point):
+            raise TypeError(f"not an exact point: {point!r}")
+        if len(point) != self.nvars:
             raise DimensionError("evaluation point length mismatch")
-        total = Fraction(0)
-        for m, c in self.terms.items():
-            prod = c
-            for v, e in zip(vals, m):
-                if e:
-                    prod *= v**e
-            total += prod
-        return total
+        # the point as integers a over one denominator q; each term of
+        # degree e is brought to q^top by q^(top - e)
+        q = lcm(*(v.denominator for v in point))
+        a = [v.numerator * (q // v.denominator) for v in point]
+        top = max(self.degree(), 0)
+        total = sum(
+            c * prod(v**e for v, e in zip(a, m) if e) * q ** (top - sum(m))
+            for m, c in self.ints.items()
+        )
+        return Fraction(total * self.num, self.den * q**top)
 
     def min_weight(self, lam: OnePS) -> int:
-        if not self.terms:
+        if not self.ints:
             raise ValueError("zero polynomial has no weight")
-        return min(lam.weight(m) for m in self.terms)
+        return min(map(lam.weight, self.ints))
 
     def to_str(self, names=None, order: TermOrder = GRLEX) -> str:
-        if not self.terms:
+        if not self.ints:
             return "0"
         if names is None:
             names = [f"x{i}" for i in range(self.nvars)]
+        num, den = self.num, self.den
         parts = []
-        for m, c in self.sorted_terms(order):
+        for m in sorted(self.ints, key=order.key, reverse=True):
+            c = self.ints[m]
             factors = []
             for i, e in enumerate(m):
                 if e == 1:
@@ -350,16 +410,16 @@ class Polynomial:
                 elif e > 1:
                     factors.append(f"{names[i]}^{e}")
             mono = "*".join(factors)
-            a, den = abs(c.numerator), c.denominator
-            coef = f"{a}/{den}" if den != 1 else str(a)  # as `str(abs(c))` writes it
+            h = gcd(c, den)  # = gcd(c*num, den), as num/den is in lowest terms
+            a, d = abs(c) * num // h, den // h
+            coef = f"{a}/{d}" if d != 1 else str(a)
             if not mono:
                 body = coef
             elif coef == "1":
                 body = mono
             else:
                 body = f"{coef}*{mono}"
-            sign = "-" if c.numerator < 0 else "+"
-            parts.append((sign, body))
+            parts.append(("-" if c < 0 else "+", body))
         first_sign, first_body = parts[0]
         out = ("-" if first_sign == "-" else "") + first_body
         for sign, body in parts[1:]:
@@ -379,16 +439,10 @@ def initial_part(f: Polynomial, lam: OnePS) -> Polynomial:
         raise ValueError("initial part of the zero polynomial")
     if not f.is_homogeneous:
         raise ValueError("initial part requires a homogeneous polynomial")
-    wmin = f.min_weight(lam)
-    return Polynomial(
-        f.nvars, {m: c for m, c in f.terms.items() if lam.weight(m) == wmin}
-    )
-
-
-def _generator_sort_key(f: Polynomial):
-    lead = f.leading(GRLEX)[0]
-    terms = sorted(f.terms.items())  # coefficients break ties of equal support
-    return (f.degree(), GRLEX.key(lead), [m for m, _ in terms], terms)
+    weights = {m: lam.weight(m) for m in f.ints}
+    wmin = min(weights.values())
+    ints = {m: c for m, c in f.ints.items() if weights[m] == wmin}
+    return Polynomial.from_ints(f.nvars, ints, f.num, f.den)
 
 
 class HomogeneousIdeal:
@@ -401,7 +455,7 @@ class HomogeneousIdeal:
     __slots__ = ("nvars", "generators", "_hash")
 
     def __init__(self, nvars: int, generators=()):
-        gens = []
+        keys = {}  # monic generator -> (degree, lead, support)
         for g in generators:
             if g.nvars != nvars:
                 raise DimensionError("generator in a different ring")
@@ -409,10 +463,14 @@ class HomogeneousIdeal:
                 continue
             if not g.is_homogeneous:
                 raise ValueError(f"non-homogeneous generator: {g!r}")
-            gens.append(g.monic(GRLEX))
-        uniq = sorted(set(gens), key=_generator_sort_key)
+            lead = max(g.ints)  # g is homogeneous, so graded lex is lex
+            g = g._monic(lead)
+            keys[g] = (sum(lead), lead, tuple(sorted(g.ints)))
+        gens = sorted(keys, key=keys.__getitem__)
+        if len(set(keys.values())) < len(keys):  # coefficients break ties of equal support
+            gens.sort(key=lambda g: (keys[g], sorted(g.terms.items())))
         self.nvars = nvars
-        self.generators = tuple(uniq)
+        self.generators = tuple(gens)
         self._hash = None
 
     @property

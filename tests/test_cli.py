@@ -510,6 +510,23 @@ def test_golden_documents_cover_every_command():
     assert {parse_document(p.read_text()).command for p in GOLDEN_DOCS} == set(COMMANDS)
 
 
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(deadline=None, max_examples=100)
+@given(value=json_values)
+def test_json_writer_matches_json_dumps(value):
+    """`render` writes what `json.dumps(sort_keys=True, indent=2)` writes:
+    empty containers, true/false/null and non-ASCII escapes included."""
+    out = {"v": value, "w": [value, {}], "\u00e9": []}
+    assert cli.render(out, "json") == json.dumps(out, sort_keys=True, indent=2) + "\n"
+    assert cli.render({}, "json") == "{}\n"
+
+
 class TestDeterminism:
     def test_byte_identical_output(self, tmp_path, capsys):
         path = tmp_path / "conic.txt"

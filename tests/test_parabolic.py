@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flagstab import (
+    GRLEX,
     GradedOnePS,
     HomogeneousIdeal,
     HyperplanarFlag,
     OnePS,
     Polynomial,
     block_profile,
+    buchberger,
     configuration_unipotent_stabilizer_dim,
     contains_oracle,
     flag_limit,
@@ -22,7 +24,7 @@ from flagstab import (
     stage_data,
     standard_grading,
 )
-from flagstab.groebner import degree_echelon, poly_to_row
+from flagstab.groebner import degree_echelon, normal_form, poly_to_row
 from flagstab.linalg import rank_of_rows
 
 from conftest import V, flag_corpus
@@ -229,6 +231,22 @@ def _degreewise_stabilizer_dim(ideals, g: GradedOnePS, j: int) -> int:
     return len(entries) - (rank_of_rows(ideal_rows + entry_rows) - ideal_rank)
 
 
+def _fraction_row_stabilizer_dim(ideals, g: GradedOnePS, j: int) -> int:
+    """The stabilizer dimension from rows of `Fraction` normal-form
+    coefficients, ranked by `rank_of_rows`."""
+    entries = _entries(g, j)
+    rows: list[dict] = [{} for _ in entries]
+    for a, ideal in enumerate(ideals):
+        basis = buchberger(ideal, GRLEX).basis
+        for b, f in enumerate(ideal.generators):
+            for row, (r, c) in zip(rows, entries):
+                nf = normal_form(V(g.size, c) * f.partial(r), basis)
+                row.update({(a, b, m): v for m, v in nf.terms.items()})
+    columns: dict = {}
+    keyed = [{columns.setdefault(k, len(columns)): v for k, v in row.items()} for row in rows]
+    return len(entries) - rank_of_rows(keyed)
+
+
 def _n3_flag() -> HyperplanarFlag:
     x0, x1, v1, v2, v3 = (V(5, i) for i in range(5))
     top = x0**3 + x1**3 + v1**3 + v2**3 + v3**3 + x0 * v1 * v3
@@ -272,6 +290,28 @@ class TestStabilizerAgainstDegreewiseOracle:
                     assert configuration_unipotent_stabilizer_dim(
                         strata, g, j
                     ) == _degreewise_stabilizer_dim(strata, g, j), (flag.top_ideal, i, j)
+
+    def test_integer_rows_match_fraction_rows(self):
+        """Rows brought to one denominator per row keep the rank of the
+        rational rows, on the flag limits and on rational generators."""
+        flags = [flag for _, _, flag in flag_corpus()] + [_n3_flag()]
+        cases = []
+        for flag in flags:
+            g = standard_grading(flag)
+            for i in range(1, flag.n + 1):
+                strata = flag_limit(flag, i).strata
+                cases += [(strata, g, j) for j in range(1, g.ell)]
+        rng = random.Random(2026)
+        for _ in range(300):  # in 3 of these the rank depends on the cells' scales
+            ideal, g, j = _random_graded_ideal(rng)
+            q = lambda: Fraction(rng.randint(-7, 7) or 1, rng.randint(1, 9))
+            # the same supports with rational coefficients
+            gens = [Polynomial(g.size, {m: q() for m in f.terms}) for f in ideal.generators]
+            cases.append(([HomogeneousIdeal(g.size, gens)], g, j))
+        for ideals, g, j in cases:
+            assert configuration_unipotent_stabilizer_dim(
+                ideals, g, j
+            ) == _fraction_row_stabilizer_dim(ideals, g, j), (ideals, j)
 
     def test_seeded_ideals_with_larger_coefficients(self):
         rng = random.Random(20261018)

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -165,21 +166,6 @@ def test_scalar_exactness(p, q):
     assert r * (1 / r) == 1
 
 
-@settings(deadline=None, max_examples=100)
-@given(
-    terms=st.dictionaries(
-        monomials3, st.fractions(max_denominator=20).filter(bool), min_size=1, max_size=5
-    ),
-    k=st.integers(1, 6),
-)
-def test_equal_polynomials_hash_equal(terms, k):
-    """Equal polynomials reached by other arithmetic, with their terms in
-    another order, hash equal."""
-    f = Polynomial(3, terms)
-    g = Polynomial(3, dict(reversed(terms.items()))) * k * Fraction(1, k)
-    assert f == g and hash(f) == hash(g)
-
-
 class TestOnePS:
     def test_sl_normalized(self):
         assert OnePS((2, -1, -1)).sl_normalized
@@ -239,3 +225,168 @@ class TestHomogeneousIdeal:
     def test_to_str_roundtrip_shape(self):
         f = V(3, 0) * V(3, 2) - V(3, 1) ** 2
         assert f.to_str(["x", "y", "z"]) == "x*z - y^2"
+
+
+# -- content times primitive part, against a Fraction-dict reference ----
+#
+# The reference holds a polynomial as {monomial: nonzero Fraction} and
+# computes each operation the schoolbook way.
+
+rationals = st.one_of(
+    st.integers(-40, 40), st.fractions(min_value=-40, max_value=40, max_denominator=12)
+).filter(bool)
+polys3 = st.dictionaries(monomials3, rationals, max_size=5)
+orders3 = st.one_of(st.just(GRLEX), weights3.map(lambda w: weight_order(OnePS(w))))
+
+
+def _ref(terms: dict) -> dict:
+    return {m: Fraction(c) for m, c in terms.items() if c}
+
+
+def _ref_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, 0) + c
+    return _ref(out)
+
+
+def _ref_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(x + y for x, y in zip(m1, m2))
+            out[m] = out.get(m, 0) + c1 * c2
+    return _ref(out)
+
+
+def _ref_to_str(a: dict, names, order) -> str:
+    if not a:
+        return "0"
+    parts = []
+    for m, c in sorted(a.items(), key=lambda t: order.key(t[0]), reverse=True):
+        mono = "*".join(n if e == 1 else f"{n}^{e}" for n, e in zip(names, m) if e)
+        coef = str(abs(c))
+        body = coef if not mono else mono if coef == "1" else f"{coef}*{mono}"
+        parts.append(("-" if c < 0 else "+", body))
+    out = ("-" if parts[0][0] == "-" else "") + parts[0][1]
+    return out + "".join(f" {sign} {body}" for sign, body in parts[1:])
+
+
+def assert_canonical(f: Polynomial) -> None:
+    """Content num/den > 0 in lowest terms, primitive nonzero integer
+    terms, and content 1 for zero."""
+    assert f.num > 0 and f.den > 0 and gcd(f.num, f.den) == 1
+    assert all(type(c) is int and c for c in f.ints.values())
+    if f.ints:
+        assert gcd(*f.ints.values()) == 1
+    else:
+        assert (f.num, f.den) == (1, 1)
+
+
+@settings(deadline=None, max_examples=100)
+@given(a=polys3, b=polys3, k=rationals)
+def test_arithmetic_matches_reference(a, b, k):
+    f, g = Polynomial(3, a), Polynomial(3, b)
+    ra, rb = _ref(a), _ref(b)
+    k = Fraction(k)
+    negb = {m: -c for m, c in rb.items()}
+    for got, want in [
+        (f, ra),
+        (f + g, _ref_add(ra, rb)),
+        (f - g, _ref_add(ra, negb)),
+        (f * g, _ref_mul(ra, rb)),
+        (-f, {m: -c for m, c in ra.items()}),
+        (f * k, {m: c * k for m, c in ra.items()}),
+        (k * f, {m: c * k for m, c in ra.items()}),
+        (f + k, _ref_add(ra, {(0, 0, 0): k})),
+        (k - f, _ref_add({(0, 0, 0): k}, {m: -c for m, c in ra.items()})),
+        (f * 0, {}),
+        (f - f, {}),
+    ]:
+        assert_canonical(got)
+        assert got.terms == want
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    a=polys3,
+    order=orders3,
+    i=st.integers(0, 2),
+    cut=st.sets(st.integers(0, 2)),
+    image=st.permutations(range(4)),
+    m=monomials3,
+    point=st.tuples(*[st.fractions(-5, 5, max_denominator=6) | st.integers(-5, 5)] * 3),
+)
+def test_structure_matches_reference(a, order, i, cut, image, m, point):
+    f, ra = Polynomial(3, a), _ref(a)
+    want_partial = {
+        tuple(e - (j == i) for j, e in enumerate(t)): c * t[i] for t, c in ra.items() if t[i]
+    }
+    mapping = dict(enumerate(image[:3]))
+    want_mapped = {
+        tuple(next((t[s] for s, d in mapping.items() if d == v), 0) for v in range(4)): c
+        for t, c in ra.items()
+    }
+    for got, want in [
+        (f.partial(i), want_partial),
+        (f.substitute_zero(cut), {t: c for t, c in ra.items() if not any(t[j] for j in cut)}),
+        (f.map_variables(mapping, 4), want_mapped),
+    ]:
+        assert_canonical(got)
+        assert got.terms == want
+    assert f.coefficient(m) == ra.get(m, 0)
+    assert f.evaluate(point) == sum(c * prod(v**e for v, e in zip(point, t)) for t, c in ra.items())
+    assert f.to_str(["x", "y", "z"], order) == _ref_to_str(ra, ["x", "y", "z"], order)
+    if not ra:
+        assert f.is_zero and f.monic(order) == f
+        return
+    lead = max(ra, key=order.key)
+    assert f.leading(order) == (lead, ra[lead])
+    monic = f.monic(order)
+    assert_canonical(monic)
+    assert monic.terms == {t: c / ra[lead] for t, c in ra.items()}
+
+
+@settings(deadline=None, max_examples=100)
+@given(d=st.integers(0, 3), data=st.data(), w=weights3)
+def test_initial_part_matches_reference(d, data, w):
+    monomials = st.sampled_from(monomials_of_degree(3, d))
+    terms = data.draw(st.dictionaries(monomials, rationals, min_size=1, max_size=5))
+    lam, ra = OnePS(w), _ref(terms)
+    wmin = min(lam.weight(t) for t in ra)
+    got = initial_part(Polynomial(3, terms), lam)
+    assert_canonical(got)
+    assert got.terms == {t: c for t, c in ra.items() if lam.weight(t) == wmin}
+
+
+@settings(deadline=None, max_examples=100)
+@given(a=polys3, b=polys3, k=rationals, t=st.integers(1, 12))
+def test_equal_polynomials_hash_equal(a, b, k, t):
+    """Equal polynomials reached by other arithmetic, with their terms in
+    another order or from a non-primitive integer dict, hash equal, and
+    every route ends in the canonical form."""
+    f, g = Polynomial(3, a), Polynomial(3, b)
+    routes = [
+        Polynomial(3, dict(reversed(a.items()))) * k * (1 / Fraction(k)),
+        (f + g) - g,
+        -(-f),
+        f * Polynomial.constant(3, 1),
+        Polynomial.from_ints(3, {m: c * t for m, c in f.ints.items()}, f.num, f.den * t),
+        Polynomial(3, f.terms),
+    ]
+    if not f.is_zero:
+        _, c = f.leading(GRLEX)
+        routes.append(f.monic(GRLEX) * c)
+    for h in routes:
+        assert_canonical(h)
+        assert h == f and hash(h) == hash(f)
+    assert Polynomial(3, {}) == f - f == f * 0 == Polynomial.zero(3)
+
+
+def test_constructor_checks():
+    with pytest.raises(DimensionError):
+        Polynomial(3, {(1, 0): 1})
+    with pytest.raises(TypeError):
+        Polynomial(2, {(1, 0): 0.5})
+    f = Polynomial(2, {(1, 0): Fraction(4, 6), (0, 1): -2})
+    assert (f.ints, f.num, f.den) == ({(1, 0): 1, (0, 1): -3}, 2, 3)
