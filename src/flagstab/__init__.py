@@ -31,6 +31,7 @@ from .groebner import (
 )
 from .hilbert import (
     HilbertData,
+    HilbertSeries,
     InternalLimitError,
     PointConfiguration,
     PreconditionError,
@@ -41,6 +42,7 @@ from .hilbert import (
     chow_weight_single_space,
     hilbert_data,
     hilbert_function,
+    hilbert_series,
     weighted_slice_weight,
 )
 from .geometry import (

@@ -358,6 +358,10 @@ def parse_document(text: str) -> InputDocument:
                     doc.flag_params[k] = int(v)
                 except ValueError:
                     raise ParseError(f"malformed integer '{v}'", lineno, 1) from None
+                if k in ("n", "dimv") and doc.flag_params[k] > MAX_VARIABLES:
+                    raise ParseError(
+                        f"flag parameter {k} = {v} exceeds the cap of {MAX_VARIABLES}", lineno, 1
+                    )
         elif key == "beta":
             doc.beta = _ints(body, lineno)
         elif key == "mults":

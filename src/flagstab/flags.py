@@ -18,7 +18,7 @@ from .hilbert import (
     PointConfiguration,
     chow_points_stability,
     chow_weight_numeric,
-    hilbert_data,
+    hilbert_series,
 )
 from .parabolic import GradedOnePS, configuration_unipotent_stabilizer_dim, stage_data
 from .poly import HomogeneousIdeal, OnePS, Polynomial
@@ -210,10 +210,10 @@ def _conjunction(legs) -> bool | None:
 def validate_flag(flag: HyperplanarFlag) -> FlagValidationReport:
     """Check the defining predicates of an admissible flag stratumwise."""
     strata = [flag.stratum_subring_ideal(i) for i in range(flag.n + 1)]
-    data = [hilbert_data(ideal) for ideal in strata]
+    data = [hilbert_series(ideal) for ideal in strata]
     degree = data[-1].degree
-    dimensions_ok = all(hd.dimension == i for i, hd in enumerate(data)) and all(
-        hd.degree == degree for hd in data
+    dimensions_ok = all(hs.dimension == i for i, hs in enumerate(data)) and all(
+        hs.degree == degree for hs in data
     )
     nondeg = all(is_nondegenerate(ideal) for ideal in strata)
     smooth: dict[int, bool] = {}
@@ -237,7 +237,7 @@ def validate_flag(flag: HyperplanarFlag) -> FlagValidationReport:
         if points_reduced:
             point_stability = chow_points_stability(pts).verdict
 
-    hilbert_type = tuple(hd.coefficients for hd in data)
+    hilbert_type = tuple(hs.polynomial() for hs in data)
     legs = [dimensions_ok, nondeg, *smooth.values(), points_reduced]
     legs.append(None if point_stability is None else point_stability == "stable")
     return FlagValidationReport(
@@ -295,7 +295,7 @@ def nrgit_stage_check(
     sd = stage_data(g, i)
     limit = flag_limit(flag, i, g, check=check)
     # X^0 is the same at every stage; the Chow weight reads its basis too
-    d = hilbert_data(limit.strata[0]).degree
+    d = hilbert_series(limit.strata[0]).degree
     if a0 is None:
         a0 = 10 * flag.n * d
     lam = sd.lambda_bracket

@@ -22,7 +22,7 @@ from .groebner import (
     eliminate,
     restrict_to_variables,
 )
-from .hilbert import PreconditionError, hilbert_data, normalize_point
+from .hilbert import PreconditionError, hilbert_series, normalize_point
 from .poly import (
     GRLEX,
     HomogeneousIdeal,
@@ -222,16 +222,19 @@ def _poly_det(matrix: list[list[Polynomial]]) -> Polynomial:
 
 def singular_locus_empty(ideal: HomogeneousIdeal, expected_dim: int) -> bool:
     """Jacobian criterion: True iff I plus the c x c minors of the Jacobian
-    (c the codimension) cuts out the empty scheme."""
-    hd = hilbert_data(ideal)
-    if hd.dimension != expected_dim:
-        raise PreconditionError(
-            f"ideal has dimension {hd.dimension}, expected {expected_dim}"
-        )
+    (c the codimension) cuts out the empty scheme, that is iff the leads of
+    its reduced basis hold a power of every variable (a constant lead, the
+    unit ideal, is a power of each; Cox-Little-O'Shea, "Ideals, Varieties,
+    and Algorithms", ch. 5 par. 3, the finiteness theorem)."""
+    dimension = hilbert_series(ideal).dimension
+    if dimension != expected_dim:
+        raise PreconditionError(f"ideal has dimension {dimension}, expected {expected_dim}")
     c = (ideal.nvars - 1) - expected_dim
     minors = _jacobian_minors(ideal, c)
     j_ideal = HomogeneousIdeal(ideal.nvars, list(ideal.generators) + minors)
-    return hilbert_data(j_ideal).dimension < 0
+    leads = buchberger(j_ideal, GRLEX).leading_monomials()
+    supports = [{v for v, e in enumerate(lead) if e} for lead in leads]
+    return all(any(s <= {v} for s in supports) for v in range(ideal.nvars))
 
 
 def is_nondegenerate(ideal: HomogeneousIdeal) -> bool:

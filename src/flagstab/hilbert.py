@@ -7,16 +7,21 @@ graded-lex Groebner basis (Bayer-Stillman, "Computation of Hilbert
 functions", J. Symbolic Comput. 14, 1992). Cancelling (1-t) factors from
 N gives the dimension, degree, Hilbert polynomial, every value of the
 Hilbert function and the exact stabilization degree; there is no
-degree search and no cap. `hilbert_function` keeps the degreewise
-linear-algebra computation as an independent oracle.
+degree search and no cap. `hilbert_series` stops at the cancelled
+series, which holds the dimension, degree and Hilbert polynomial;
+`hilbert_data` adds the Hilbert function and its stabilization degree.
+`hilbert_function` keeps the degreewise linear-algebra computation as an
+independent oracle.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations
 from math import comb, factorial
+from typing import NamedTuple
 
 from .linalg import Echelon, row_from_fractions
 from .groebner import buchberger, degree_echelon
@@ -154,6 +159,34 @@ def _eventual_polynomial(q: list[int], d: int) -> tuple[list[int], int]:
     return total, factorial(max(d - 1, 0))
 
 
+class HilbertSeries(NamedTuple):
+    """HS(S/I) = numerator(t)/(1-t)^pole with every (1-t) factor cancelled."""
+
+    numerator: list[int]
+    pole: int
+
+    @property
+    def dimension(self) -> int:
+        return self.pole - 1
+
+    @property
+    def degree(self) -> int:
+        """numerator(1); 0 for the empty scheme."""
+        return sum(self.numerator) if self.pole else 0
+
+    def polynomial(self) -> tuple[Fraction, ...]:
+        """The Hilbert polynomial, ascending powers."""
+        e, k = _eventual_polynomial(*self)
+        return tuple(Fraction(c, k) for c in e)
+
+
+def hilbert_series(ideal: HomogeneousIdeal) -> HilbertSeries:
+    """The cancelled Hilbert series of S/I: dimension, degree and Hilbert
+    polynomial without the Hilbert function or its stabilization degree."""
+    leads = buchberger(ideal, GRLEX).leading_monomials()
+    return HilbertSeries(*_cancel(_numerator(leads), ideal.nvars))
+
+
 @dataclass(frozen=True)
 class HilbertData:
     hilbert_function: dict[int, int]
@@ -170,7 +203,8 @@ def hilbert_data(ideal: HomogeneousIdeal) -> HilbertData:
     """Hilbert polynomial, dimension, degree, stabilization degree (1 + the
     largest m with HF(m) != HP(m), or 0) and the Hilbert function on a
     window of degrees reaching past stabilization."""
-    q, d = _cancel(_numerator(buchberger(ideal, GRLEX).leading_monomials()), ideal.nvars)
+    series = hilbert_series(ideal)
+    q, d = series
     e, k = _eventual_polynomial(q, d)
     stab = next(
         (
@@ -182,15 +216,15 @@ def hilbert_data(ideal: HomogeneousIdeal) -> HilbertData:
     )
     # the reported window: from a generator-degree bound (or just below
     # stabilization) to 3*nvars + 1 past the first step start + k*nvars
-    # at or beyond stabilization
+    # at or beyond stabilization; from stabilization on, HF(m) = E(m)/k
     n = ideal.nvars
     gen_degs = [g.degree() for g in ideal.generators]
     start = max(sum(gen_degs), 2 * max(gen_degs, default=0), 1)
     s = start + max(0, -((start - stab) // n)) * n
     window = range(min(start, max(stab - 1, 0)), s + 3 * n + 2)
-    hf = {m: _coefficient(q, d, m) for m in window}
+    hf = {m: _coefficient(q, d, m) if m < stab else eval_poly(e, m) // k for m in window}
     coeffs = tuple(Fraction(c, k) for c in e)
-    return HilbertData(hf, coeffs, stab, d - 1, sum(q) if d else 0)
+    return HilbertData(hf, coeffs, stab, series.dimension, series.degree)
 
 
 # -- weighted slice weights and Chow weights ---------------------------
@@ -369,39 +403,46 @@ def chow_points_stability(cfg: PointConfiguration) -> StabilityVerdict:
     multiplicity. Ties in the witness break toward the subset enumerated
     first: smallest size, then lexicographic order of support positions;
     a span already met keeps the subset that first reached it.
+
+    A span is the span of the support points it contains, so it is kept
+    as their bitmask. Spans are met by increasing rank, so a subset inside
+    a span already met spans that span (or one met before it) and is
+    skipped without elimination; any other subset is independent.
     """
-    d = cfg.length
+    d, w = cfg.length, cfg.dim_w
     support = cfg.support()
-    rows = [row_from_fractions(dict(enumerate(p))) for p in cfg.points]
-    best: tuple[Fraction, tuple[int, ...], int, int] | None = None
-    seen_spans: set[frozenset] = set()
-    max_size = min(len(support), cfg.dim_w - 1)
+    max_size = min(len(support), w - 1)
+    # single points need no rows
+    rows = [row_from_fractions(dict(enumerate(p))) for _, p in support] if max_size > 1 else []
+    mults = Counter(cfg.points)
+    counts = [mults[p] for _, p in support]
+    # (margin * d * w, witness indices, dim Z, count)
+    best: tuple[int, tuple[int, ...], int, int] | None = None
+    spans: list[int] = []
     for size in range(1, max_size + 1):
         for subset in combinations(range(len(support)), size):
-            ech = Echelon()
-            for k in subset:
-                ech.insert(rows[support[k][0]])
-            rank = ech.rank
-            if rank > cfg.dim_w - 1:
-                continue  # not a proper subspace
-            signature = frozenset(
-                (c, tuple(sorted(row.items()))) for c, row in ech.pivots.items()
-            )
-            if signature in seen_spans:
+            bits = sum(1 << k for k in subset)
+            if any(bits & span == bits for span in spans):
                 continue
-            seen_spans.add(signature)
-            count = sum(1 for row in rows if ech.contains(row))
-            margin = Fraction(count, d) - Fraction(rank, cfg.dim_w)
-            indices = tuple(support[k][0] for k in subset)
-            cand = (margin, indices, rank - 1, count)
-            if best is None or margin > best[0]:
-                best = cand
+            if size > 1:
+                ech = Echelon()
+                for k in subset:
+                    ech.insert(rows[k])
+                bits |= sum(
+                    1 << k for k, row in enumerate(rows) if not bits >> k & 1 and ech.contains(row)
+                )
+            spans.append(bits)
+            count = sum(c for k, c in enumerate(counts) if bits >> k & 1)
+            excess = count * w - size * d
+            if best is None or excess > best[0]:
+                best = (excess, tuple(support[k][0] for k in subset), size - 1, count)
     assert best is not None
-    margin, indices, dim_z, count = best
-    if margin > 0:
+    excess, indices, dim_z, count = best
+    if excess > 0:
         verdict = "unstable"
-    elif margin == 0:
+    elif excess == 0:
         verdict = "strictly_semistable"
     else:
         verdict = "stable"
+    margin = Fraction(excess, d * w)
     return StabilityVerdict(verdict, indices, dim_z, count, margin)

@@ -23,6 +23,7 @@ from flagstab import (
     cli,
     gb_memo,
     groebner,
+    hilbert,
     validate_flag,
 )
 from flagstab.cli import (
@@ -293,6 +294,21 @@ class TestInputCaps:
         code, out, err = run(capsys, "hilbert", str(path))
         assert (code, out) == (1, "")
         assert "exceeds the cap" in err
+
+    def test_flag_parameter_cap(self, tmp_path, capsys):
+        # admissible lists one excluded ratio per stage; n = 10^6 ran past 20 s
+        path = tmp_path / "huge-flag.txt"
+        cap = f"exceeds the cap of {MAX_VARIABLES}"
+        for params, refused in [
+            ("n=1000000 d=1000000 dimv=10000000", "n = 1000000"),
+            (f"n=1 d=40 dimv={MAX_VARIABLES + 1}", f"dimv = {MAX_VARIABLES + 1}"),
+        ]:
+            path.write_text(f"flag: {params}\n")
+            code, out, err = run(capsys, "admissible", str(path))
+            assert (code, out) == (1, "")
+            assert f"flag parameter {refused} {cap}" in err
+        path.write_text(f"flag: n={MAX_VARIABLES - 2} d=40 dimv={MAX_VARIABLES}\n")
+        assert run(capsys, "admissible", str(path))[0] == 0
 
     def test_degree_bound_cap(self, tmp_path, capsys):
         path = tmp_path / "conic.txt"
@@ -618,6 +634,35 @@ def test_flag_commands_compare_reduced_bases_without_ideal_equal(capsys, monkeyp
     for argv, (code, out, err) in zip(argvs, expected):
         assert code == 0, argv
         assert run(capsys, *argv) == (code, out, err)
+
+
+def test_flag_commands_read_the_series_without_hilbert_data(tmp_path, capsys, monkeypatch):
+    """Flag validation and the stage checks read dimensions, degrees and
+    Hilbert polynomials off `hilbert_series`, and smoothness off the
+    Jacobian ideal's leads: with hilbert_data rebound to raise in every
+    flagstab module that binds it, the flag goldens, the surface flag and
+    the library reports on the flag corpus are unchanged."""
+    surface = tmp_path / "surface.in"
+    surface.write_text(SURFACE_FLAG_DOC)
+    argvs = [
+        ("flag-check", str(GOLDEN / "flag-check.in")),
+        ("flag-check", str(GOLDEN / "flag-check.in"), "--check"),
+        ("flag-check", str(GOLDEN / "flag-check-stage.in"), "--check"),
+        ("flag-validate", str(GOLDEN / "flag-validate.in")),
+        ("flag-validate", str(GOLDEN / "flag-validate-inconclusive.in")),
+        ("flag-check", str(surface)),
+        ("flag-validate", str(surface)),
+    ]
+    expected = [run(capsys, *argv) for argv in argvs]
+    grading = GradedOnePS((1, -2), (2, 1))
+    flags = [flag for _, _, flag in flag_corpus()]
+    reports = [(validate_flag(f), check_flag_stability(f, grading, 5)) for f in flags]
+    # the hilbert module and at least one importer
+    assert _refuse_everywhere(monkeypatch, hilbert.hilbert_data) >= 2
+    for argv, (code, out, err) in zip(argvs, expected):
+        assert code in (0, 2), argv
+        assert run(capsys, *argv) == (code, out, err)
+    assert [(validate_flag(f), check_flag_stability(f, grading, 5)) for f in flags] == reports
 
 
 def test_parser_builds_no_intermediate_polynomials(monkeypatch):

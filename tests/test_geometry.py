@@ -1,11 +1,14 @@
 """Flat limits, joins, sections, tangent spaces and smoothness."""
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 
 from flagstab import (
     GRLEX,
     HomogeneousIdeal,
+    HyperplanarFlag,
     degree_dimension,
     OnePS,
     Polynomial,
@@ -25,9 +28,11 @@ from flagstab import (
 from flagstab.geometry import (
     ProjectivePoint,
     Splitting,
+    _jacobian_minors,
     coordinate_section,
     projection_dominant,
 )
+from flagstab.cli import parse_document
 
 from conftest import (
     V,
@@ -37,6 +42,8 @@ from conftest import (
     small_ideals_with_weights,
     twisted_cubic,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 CONIC = HomogeneousIdeal(3, [V(3, 0) * V(3, 2) - V(3, 1) ** 2])
@@ -230,6 +237,47 @@ class TestSingularLocus:
     def test_crossing_lines(self):
         crossing = HomogeneousIdeal(3, [V(3, 0) * V(3, 1)])
         assert singular_locus_empty(crossing, 1) is False
+
+    @pytest.mark.parametrize("cut, dim", [((0,), 1), ((0, 1), 0)])
+    def test_linear_strata_are_smooth(self, cut, dim):
+        # the line x = 0 and the point x = y = 0 in P^2: the minors hold a
+        # nonzero constant, so the Jacobian ideal is the unit ideal
+        linear = HomogeneousIdeal(3, [V(3, i) for i in cut])
+        assert singular_locus_empty(linear, dim) is True
+
+    def test_matches_the_dimension_of_the_jacobian_ideal(self):
+        y1, y2, y3 = (V(3, i) for i in range(3))
+        cases = [
+            (CONIC, 1),
+            (HomogeneousIdeal(3, [y2 * y2 * y3 - y1 * y1 * (y1 + y3)]), 1),
+            (HomogeneousIdeal(3, [y1 * y2]), 1),
+            (HomogeneousIdeal(3, [y1 * y1]), 1),
+            (HomogeneousIdeal(3, [y2 * y2 * y3 - y1 ** 3]), 1),
+            (HomogeneousIdeal(3, [y1]), 1),
+            (HomogeneousIdeal(3, [y1, y2]), 0),
+            (twisted_cubic(), 1),
+        ]
+        flags = [flag for _, _, flag in flag_corpus()]
+        x, y, v1, v2 = (V(4, i) for i in range(4))
+        surface = x * y * (x - y) * (x - 2 * y) + v1 ** 4 - 2 * v2 ** 4
+        flags.append(HyperplanarFlag(2, 4, HomogeneousIdeal(4, [surface])))
+        for path in sorted(GOLDEN.glob("flag-*.in")):
+            doc = parse_document(path.read_text())
+            if not doc.ideal_gens:
+                continue  # flag-weight reads no flag
+            top = HomogeneousIdeal(len(doc.names), doc.ideal_gens)
+            flags.append(HyperplanarFlag(doc.flag_params["n"], top.nvars, top))
+        for flag in flags:
+            for i in range(flag.n + 1):
+                cases.append((flag.stratum_subring_ideal(i), i))
+        verdicts = set()
+        for ideal, dim in cases:
+            minors = _jacobian_minors(ideal, ideal.nvars - 1 - dim)
+            jacobian = HomogeneousIdeal(ideal.nvars, list(ideal.generators) + minors)
+            verdict = singular_locus_empty(ideal, dim)
+            assert verdict == (hilbert_data(jacobian).dimension < 0), ideal
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
 
 
 class TestNondegeneracy:

@@ -19,10 +19,18 @@ from flagstab import (
     flat_limit,
     hilbert_data,
     hilbert_function,
+    hilbert_series,
     ideal_equal,
     weighted_slice_weight,
 )
-from flagstab.hilbert import PointConfiguration, PreconditionError, eval_poly
+from flagstab.hilbert import (
+    PointConfiguration,
+    PreconditionError,
+    StabilityVerdict,
+    _coefficient,
+    eval_poly,
+)
+from flagstab.linalg import Echelon, row_from_fractions
 
 from conftest import V, corpus_ideals, small_ideals_with_weights, twisted_cubic
 
@@ -99,6 +107,19 @@ class TestHilbertData:
                     assert hd.polynomial_value(m) == hf, (name, m)
             if stab:
                 assert hd.hilbert_function[stab - 1] != hd.polynomial_value(stab - 1), name
+
+    def test_series_holds_what_the_data_reads(self):
+        ideals = [ideal for _, ideal in corpus_ideals()]
+        ideals += [CONIC, twisted_cubic(), HomogeneousIdeal(3, []), HomogeneousIdeal(3, [V(3, 0)])]
+        ideals.append(HomogeneousIdeal(3, [Polynomial.constant(3, 1)]))
+        ideals.append(HomogeneousIdeal(2, [V(2, 0) ** 2, V(2, 1) ** 3]))  # empty, length 6
+        for ideal in ideals:
+            hs, hd = hilbert_series(ideal), hilbert_data(ideal)
+            assert (hs.dimension, hs.degree) == (hd.dimension, hd.degree), ideal
+            assert hs.polynomial() == hd.coefficients, ideal
+            # from stabilization on the window is the polynomial's value
+            for m, value in hd.hilbert_function.items():
+                assert value == _coefficient(*hs, m), (ideal, m)
 
 
 class TestWeightedSliceWeight:
@@ -256,6 +277,58 @@ def _brute_force_margin(pts) -> Fraction:
     return best
 
 
+def _chow_points_by_echelon(cfg: PointConfiguration) -> StabilityVerdict:
+    """The subset enumeration with one `Echelon` per support subset, every
+    point tested against each span and spans told apart by their pivot
+    rows: an independent oracle for `chow_points_stability`."""
+    d = cfg.length
+    support = cfg.support()
+    rows = [row_from_fractions(dict(enumerate(p))) for p in cfg.points]
+    best = None
+    seen_spans = set()
+    for size in range(1, min(len(support), cfg.dim_w - 1) + 1):
+        for subset in combinations(range(len(support)), size):
+            ech = Echelon()
+            for k in subset:
+                ech.insert(rows[support[k][0]])
+            signature = frozenset((c, tuple(sorted(r.items()))) for c, r in ech.pivots.items())
+            if signature in seen_spans:
+                continue
+            seen_spans.add(signature)
+            count = sum(1 for row in rows if ech.contains(row))
+            margin = Fraction(count, d) - Fraction(ech.rank, cfg.dim_w)
+            if best is None or margin > best[0]:
+                best = (margin, tuple(support[k][0] for k in subset), ech.rank - 1, count)
+    margin, indices, dim_z, count = best
+    verdict = "unstable" if margin > 0 else "stable" if margin < 0 else "strictly_semistable"
+    return StabilityVerdict(verdict, indices, dim_z, count, margin)
+
+
+def _configurations(dim_w: int, count: int, seed: int) -> list[list[tuple[int, ...]]]:
+    """Seeded configurations in P(W) with coordinates in {-2..2}, with
+    repeated points (some as proportional vectors) and points on the span
+    of two or three earlier ones."""
+    rng = random.Random(seed)
+    grid = [p for p in product(range(-2, 3), repeat=dim_w) if any(p)]
+    out = []
+    while len(out) < count:
+        pts = rng.sample(grid, rng.randint(1, dim_w))
+        size = rng.randint(2, 8)
+        while len(pts) < size:
+            roll = rng.random()
+            if roll < 0.25:
+                pts.append(tuple(rng.choice((1, -2)) * c for c in rng.choice(pts)))
+            elif roll < 0.8:
+                picked = [rng.choice(pts) for _ in range(rng.randint(2, 3))]
+                signs = [rng.choice((-1, 1)) for _ in picked]
+                combo = tuple(sum(map(mul, signs, coords)) for coords in zip(*picked))
+                pts.append(combo if any(combo) else rng.choice(grid))
+            else:
+                pts.append(rng.choice(grid))
+        out.append(pts)
+    return out
+
+
 class TestChowPointsStability:
     def test_three_generic_points_in_p1(self):
         cfg = PointConfiguration.from_coords([(1, 0), (0, 1), (1, 1)])
@@ -317,3 +390,16 @@ class TestChowPointsStability:
         assert verdict.margin == margin
         want = "unstable" if margin > 0 else "stable" if margin < 0 else "strictly_semistable"
         assert verdict.verdict == want
+
+    @pytest.mark.parametrize("dim_w", [2, 3, 4])
+    def test_against_the_echelon_enumeration(self, dim_w):
+        configs = _configurations(dim_w, 60, 1977 + dim_w)
+        if dim_w == 3:  # the tie-break case above
+            configs.append([(1, 0, 0), (0, 1, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (1, 1, 1)])
+        verdicts = set()
+        for pts in configs:
+            cfg = PointConfiguration.from_coords(pts)
+            verdict = chow_points_stability(cfg)
+            assert verdict == _chow_points_by_echelon(cfg), pts
+            verdicts.add(verdict.verdict)
+        assert verdicts == {"stable", "strictly_semistable", "unstable"}
