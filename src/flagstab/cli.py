@@ -87,9 +87,11 @@ class _Tokens:
         self.line = line
         self.col0 = col0  # column of text[0] in the source line
         self.pos = 0
+        self.start = 0  # where the last integer or name began
 
-    def error(self, message: str):
-        raise ParseError(message, self.line, self.col0 + self.pos)
+    def error(self, message: str, pos: int | None = None):
+        """Raise at `pos` in the text, by default the current position."""
+        raise ParseError(message, self.line, self.col0 + (self.pos if pos is None else pos))
 
     def peek(self) -> str:
         """Skip white space; the next character, or "" at the end."""
@@ -106,7 +108,7 @@ class _Tokens:
 
     def integer(self) -> int:
         self.peek()
-        start = self.pos
+        start = self.start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
         if start == self.pos:
@@ -115,7 +117,7 @@ class _Tokens:
 
     def name(self) -> str:
         self.peek()
-        start = self.pos
+        start = self.start = self.pos
         while self.pos < len(self.text) and (
             self.text[self.pos].isalnum() or self.text[self.pos] == "_"
         ):
@@ -126,7 +128,7 @@ class _Tokens:
 
 
 def _terms_mul(a: dict, b: dict) -> dict:
-    """Product of two term dicts, zero coefficients dropped."""
+    """Product of two term dicts, without zero coefficients."""
     out: dict = {}
     for m1, c1 in a.items():
         for m2, c2 in b.items():
@@ -168,13 +170,13 @@ def parse_polynomial(text: str, names: list[str], line: int = 1, col0: int = 1) 
                 toks.take()
                 den = toks.integer()
                 if den == 0:
-                    toks.error("zero denominator")
+                    toks.error("zero denominator", toks.start)
                 num = Fraction(num, den)
             return {one: num} if num else {}
         if c.isalpha() or c == "_":
             name = toks.name()
             if name not in index:
-                toks.error(f"undeclared variable '{name}'")
+                toks.error(f"undeclared variable '{name}'", toks.start)
             exps = [0] * nvars
             exps[index[name]] = 1
             return {tuple(exps): 1}
@@ -196,7 +198,7 @@ def parse_polynomial(text: str, names: list[str], line: int = 1, col0: int = 1) 
             toks.take()
             e = toks.integer()
             if e > MAX_EXPONENT:
-                toks.error(f"exponent {e} exceeds the cap of {MAX_EXPONENT}")
+                toks.error(f"exponent {e} exceeds the cap of {MAX_EXPONENT}", toks.start)
             check_size(_terms_degree(base) * e, comb(len(base) + e, e))
             power = {one: 1}
             while e:  # square and multiply
@@ -400,9 +402,7 @@ def _plain(value, names: list[str], order: TermOrder):
     if isinstance(value, (list, tuple)):
         return [_plain(v, names, order) for v in value]
     if isinstance(value, HomogeneousIdeal):
-        gens = sorted(
-            value.generators, key=lambda g: (g.degree(), max(map(order.key, g.ints)))
-        )
+        gens = sorted(value.generators, key=lambda g: max(map(order.key, g.ints)))
         return _plain(gens, names, order)
     return _plain({f.name: getattr(value, f.name) for f in fields(value)}, names, order)
 
@@ -596,10 +596,11 @@ def _flag_weight(doc: InputDocument, args) -> dict:
 
 
 def _flag_check(doc: InputDocument, args) -> StabilityReport:
-    flag, g, a0 = _flag(doc), _grading(doc), doc.flag_params.get("a0")
+    flag, a0 = _flag(doc), doc.flag_params.get("a0")
     if doc.stage is None:
-        return check_flag_stability(flag, g, a0, check=args.check)
-    return StabilityReport.of((nrgit_stage_check(flag, doc.stage, g, a0, check=args.check),))
+        return check_flag_stability(flag, _grading(doc), a0, check=args.check)
+    i = _stage(doc, flag.n)
+    return StabilityReport.of((nrgit_stage_check(flag, i, _grading(doc), a0, check=args.check),))
 
 
 # command -> (the sections it needs, its handler). "mults if beta" needs

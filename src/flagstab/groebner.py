@@ -58,12 +58,9 @@ def normal_form(f: Polynomial, basis, order: TermOrder = GRLEX) -> Polynomial:
 def normal_forms(fs, basis, order: TermOrder = GRLEX) -> list[Polynomial]:
     """`normal_form` of each polynomial in fs, with the basis turned into
     integer divisors once for all of them. The packing bound is checked on
-    the inputs only, and only an order with a dropped block can raise a term's
-    degree in division (by t - x^5, t dropped), so there divisors must be homogeneous."""
+    the inputs only, as division under a graded order never raises a degree."""
     if not fs:
         return []
-    if order.dropped and not all(b.is_homogeneous for b in basis):
-        raise ValueError("under an order with a dropped block the divisors must be homogeneous")
     packing = _packing(order, fs[0].nvars)
     divisors = [_divisor(packing.terms(b)) for b in basis if not b.is_zero]
     out = []
@@ -75,9 +72,9 @@ def normal_forms(fs, basis, order: TermOrder = GRLEX) -> list[Polynomial]:
 
 class _Packing:
     """Each monomial as one int (Monagan and Pearce, ISSAC 2007): the fields
-    of `order.key`, then for a `dropped` order the exponents again, `width`
-    bits each with a guard bit on top. Packing is linear, int comparison is
-    the order, and x^b divides x^a iff a - b sets no guard bit in `mask`."""
+    of `order.key` (degree, -weight, exponents), `width` bits each with a
+    guard bit on top. Packing is linear, int comparison is the order, and
+    x^b divides x^a iff a - b sets no guard bit in `mask`."""
 
     BOUND = 1 << 32  # of the total degree; below it the packing is exact
 
@@ -87,18 +84,10 @@ class _Packing:
             raise DimensionError("weight vector length mismatch")
         # below degree 2^32 each field is under 2^(width - 2) in size
         self.width = width = 34 + max(map(abs, w), default=0).bit_length()
-        self.shifts = tuple(range(width * (nvars - 1), -1, -width))  # of the last nvars fields
+        self.shifts = tuple(range(width * (nvars - 1), -1, -width))  # of the exponent fields
         self.mask = (1 << width * nvars) // ((1 << width) - 1) << width - 1
-        blocks = [range(nvars)]
-        if order.dropped:
-            blocks = [order.dropped, [i for i in range(nvars) if i not in order.dropped]]
-        self.units = [1 << s if order.dropped else 0 for s in self.shifts]
-        top = width * len(blocks) * (nvars + 2)  # (degree, -weight, exponents) per block
-        for block in blocks:
-            degree = 1 << top - width
-            for j, i in enumerate(block):
-                self.units[i] += degree - (w[i] << top - 2 * width) + (1 << top - (3 + j) * width)
-            top -= width * (2 + len(block))
+        top = width * nvars  # the weight field; the degree field is above it
+        self.units = [(1 << top + width) - (wi << top) + (1 << s) for wi, s in zip(w, self.shifts)]
 
     def check(self, degree: int) -> None:
         if degree >= self.BOUND:
@@ -243,7 +232,7 @@ def _buchberger(ideal: HomogeneousIdeal, order: TermOrder) -> GroebnerBasis:
         r, _ = _divide(work, [basis[j], *basis], packing.mask)
         if r:
             _add_to_basis(_divisor(r), basis, leads, pairs, packing)
-    return GroebnerBasis(tuple(_interreduce(basis, leads, packing)), order)
+    return GroebnerBasis(tuple(_interreduce(basis, packing)), order)
 
 
 def _add_to_basis(g: tuple, basis: list, leads: list, pairs: list, packing: _Packing) -> None:
@@ -276,7 +265,7 @@ def _add_to_basis(g: tuple, basis: list, leads: list, pairs: list, packing: _Pac
     pairs.sort(reverse=True)
 
 
-def _interreduce(basis: list[tuple], leads: list[Monomial], packing: _Packing) -> list[Polynomial]:
+def _interreduce(basis: list[tuple], packing: _Packing) -> list[Polynomial]:
     # drop members whose lead is divisible by another lead
     mask, heads = packing.mask, [g[0] for g in basis]
     kept = [
@@ -287,7 +276,7 @@ def _interreduce(basis: list[tuple], leads: list[Monomial], packing: _Packing) -
             for j, mh in enumerate(heads)
         )
     ]
-    kept.sort(key=lambda i: (sum(leads[i]), basis[i][0]))  # reducing keeps each lead
+    kept.sort(key=lambda i: basis[i][0])  # reducing keeps each lead
     kept = [basis[i] for i in kept]
     out = []
     for i, (mg, cg, tail) in enumerate(kept):
@@ -299,16 +288,18 @@ def _interreduce(basis: list[tuple], leads: list[Monomial], packing: _Packing) -
 def eliminate(ideal: HomogeneousIdeal, keep) -> HomogeneousIdeal:
     """Generators of the intersection with the subring in the kept variables.
 
-    Uses a two-block order making the dropped variables largest; the
-    result lives in the full ring but mentions only kept variables.
+    Under weight -1 on the eliminated variables and 0 on the kept ones, a
+    homogeneous basis element led by a kept-only monomial uses only kept
+    variables, so those elements generate the intersection. The result
+    lives in the full ring but mentions only kept variables.
     """
     keep = set(keep)
     if not keep:
         raise ValueError("must keep at least one variable")
-    dropped = tuple(i for i in range(ideal.nvars) if i not in keep)
-    if not dropped:
+    weights = tuple(0 if i in keep else -1 for i in range(ideal.nvars))
+    if not any(weights):
         return ideal
-    gb = buchberger(ideal, TermOrder(dropped=dropped))
+    gb = buchberger(ideal, TermOrder(weights))
     gens = [g for g in gb.basis if g.variables_used() <= keep]
     return HomogeneousIdeal(ideal.nvars, gens)
 

@@ -99,27 +99,15 @@ class TermOrder:
     lexicographically, so within a fixed degree the *minimal-weight*
     terms are the largest, and ties break on the first differing
     exponent (larger exponent wins). With `weights=None` this is plain
-    graded lex. A nonempty `dropped` block turns this into a
-    two-block elimination order with the dropped variables largest.
+    graded lex. Every order is graded, so division never raises a
+    term's degree.
     """
 
     weights: tuple[int, ...] | None = None
-    dropped: tuple[int, ...] | None = None
-
-    def _block_key(self, m: Monomial, indices: tuple[int, ...]):
-        exps = tuple(m[i] for i in indices)
-        if self.weights is None:
-            w = 0
-        else:
-            w = sum(m[i] * self.weights[i] for i in indices)
-        return (sum(exps), -w, exps)
 
     def key(self, m: Monomial):
         if self.weights is not None and len(self.weights) != len(m):
             raise DimensionError("weight vector length mismatch")
-        if self.dropped:
-            kept = tuple(i for i in range(len(m)) if i not in self.dropped)
-            return self._block_key(m, self.dropped) + self._block_key(m, kept)
         if self.weights is None:
             return (sum(m), 0, m)
         return (sum(m), -sum(a * r for a, r in zip(m, self.weights)), m)

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 from pathlib import Path
 
@@ -170,13 +171,13 @@ def test_parse_matches_polynomial_arithmetic(tree):
 # built every intermediate value as a Polynomial:
 # (text, number of variables, line, first column, message).
 PARSE_ERRORS = [
-    ("x*w", 2, 1, 1, "line 1, column 4: undeclared variable 'w'"),
-    ("1/0*x", 2, 2, 8, "line 2, column 11: zero denominator"),
+    ("x*w", 2, 1, 1, "line 1, column 3: undeclared variable 'w'"),
+    ("1/0*x", 2, 2, 8, "line 2, column 10: zero denominator"),
     ("(x + y", 2, 3, 1, "line 3, column 7: expected ')'"),
     ("x*(x + y", 2, 1, 1, "line 1, column 9: expected ')'"),
     ("x +", 2, 1, 1, "line 1, column 4: expected a number, variable or '('"),
     ("x - y *", 2, 5, 10, "line 5, column 17: expected a number, variable or '('"),
-    ("x^65", 2, 1, 1, "line 1, column 5: exponent 65 exceeds the cap of 64"),
+    ("x^65", 2, 1, 1, "line 1, column 3: exponent 65 exceeds the cap of 64"),
     ("x^40*y^30", 2, 1, 1, "line 1, column 10: degree 70 exceeds the cap of 64"),
     ("(x*y)^33", 2, 1, 1, "line 1, column 9: degree 66 exceeds the cap of 64"),
     (
@@ -207,7 +208,7 @@ def test_parse_error_text(text, nvars, line, col0, message):
 @pytest.mark.parametrize(
     "text, message",
     [
-        ("ring x, y\nideal: x*y; y + z\n", "line 2, column 18: undeclared variable 'z'"),
+        ("ring x, y\nideal: x*y; y + z\n", "line 2, column 17: undeclared variable 'z'"),
         (
             "ring x, y\n\nideal:  x^2 ;  x*)\n",
             "line 3, column 18: expected a number, variable or '('",
@@ -215,8 +216,8 @@ def test_parse_error_text(text, nvars, line, col0, message):
         # the body's first column counts from the colon, not from the
         # first match of the body's text, which may lie inside the key
         ("ring x\nideal: )\n", "line 2, column 8: expected a number, variable or '('"),
-        ("ring x\nideal: a\n", "line 2, column 9: undeclared variable 'a'"),
-        ("ring x\nideal:    a\n", "line 2, column 12: undeclared variable 'a'"),
+        ("ring x\nideal: a\n", "line 2, column 8: undeclared variable 'a'"),
+        ("ring x\nideal:    a\n", "line 2, column 11: undeclared variable 'a'"),
         ("stage: 1, 7\n", "line 1, column 1: stage needs exactly one integer"),
         (
             "flag: n=1 d=4 a0=5 a0=7\n",
@@ -458,13 +459,32 @@ class TestExitCodes:
         code, out, _ = run(capsys, "flag-validate", str(path))
         assert code == 2
 
+    def test_rational_normal_quartic_flag(self, tmp_path, capsys):
+        # the 2x2 minors of [[x0 x1 x2 x3], [x1 x2 x3 v1]]: six quadrics cut
+        # out a curve that is no complete intersection, and its smoothness
+        # check takes the 200 3x3 minors of their Jacobian
+        top, bottom = ["x0", "x1", "x2", "x3"], ["x1", "x2", "x3", "v1"]
+        minors = [
+            f"{top[i]}*{bottom[j]} - {top[j]}*{bottom[i]}" for i, j in combinations(range(4), 2)
+        ]
+        path = tmp_path / "quartic.txt"
+        path.write_text("ring x0, x1, x2, x3, v1\nideal: " + "; ".join(minors) + "\nflag: n=1\n")
+        code, out, _ = run(capsys, "flag-validate", str(path))
+        results = json.loads(out)["results"]
+        assert code == 2  # no points certificate
+        assert results["smooth"] == {"1": True}
+        assert results["degree"] == 4
+        assert results["hilbert_type"] == [["4"], ["1", "4"]]
+        assert results["nondegenerate"] is True
+
     def test_flag_check_stage_out_of_range(self, tmp_path, capsys):
-        # the grading's stage range is checked before the flag limit is built
+        # the stage range is checked before the grading and the flag limit
+        # are built, worded as by flag-limit and flag-weight
         path = tmp_path / "flag.txt"
         path.write_text("ring x, y, v1\nideal: x^2*y + x*y^2 + v1^3\nflag: n=1\nstage: 5\n")
         code, out, err = run(capsys, "flag-check", str(path))
         assert (code, out) == (1, "")
-        assert err == "flagstab: error: stage must satisfy 1 <= i < 2\n"
+        assert err == "flagstab: error: stage must be between 1 and 1\n"
 
 
 FLAG_HEAD = "ring x, y, v1\nideal: x^2*y + x*y^2 + v1^3\n"

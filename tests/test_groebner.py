@@ -115,6 +115,12 @@ class TestBuchberger:
         assert a.basis == b.basis
 
 
+def _elimination_order(nvars: int, eliminated) -> TermOrder:
+    """The order `eliminate` takes its basis under: weight -1 on the
+    eliminated variables, 0 on the others."""
+    return weight_order(OnePS(tuple(-1 if i in eliminated else 0 for i in range(nvars))))
+
+
 SMALL = [-3, -2, -1, 1, 2, 3]
 # non-integer rationals and integers of size >= 10^6: the integer division
 # kernel scales, clears denominators and takes contents on these
@@ -198,8 +204,8 @@ class TestAgainstIndependentChecks:
         orders = [
             weight_order(OnePS(weights)),
             weight_order(OnePS(weights[::-1])),
-            TermOrder(dropped=(0,)),
-            TermOrder(weights=weights, dropped=(n - 2, n - 1)),
+            _elimination_order(n, {0}),
+            _elimination_order(n, {n - 2, n - 1}),
         ]
         for order in orders:
             basis = buchberger(ideal, order).basis
@@ -210,7 +216,7 @@ class TestAgainstIndependentChecks:
                 assert normal_form(g, basis, order).is_zero
 
 
-NF_ORDERS = [GRLEX, weight_order(OnePS((2, -1, -1))), TermOrder(dropped=(0,))]
+NF_ORDERS = [GRLEX, weight_order(OnePS((2, -1, -1))), _elimination_order(3, {0})]
 
 
 @settings(deadline=None, max_examples=40)
@@ -228,14 +234,6 @@ def test_normal_form_of_rational_input_by_any_basis(seed, order):
     leads = [b.leading(order)[0] for b in basis]
     assert not any(monomial_divides(mb, m) for m in r.terms for mb in leads)
     assert contains_oracle(HomogeneousIdeal(3, basis), f - r)
-
-
-def test_dropped_order_refuses_an_inhomogeneous_divisor():
-    # t - x^5 with t dropped leads with t, so dividing t^k by it gives x^(5k)
-    t, x = V(2, 0), V(2, 1)
-    with pytest.raises(ValueError, match="homogeneous"):
-        normal_form(t**2, [t - x**5], TermOrder(dropped=(0,)))
-    assert normal_form(t**2, [t - x**5], GRLEX) == t**2  # x^5 leads under graded lex
 
 
 class TestEliminate:
@@ -260,6 +258,34 @@ class TestEliminate:
     def test_requires_kept_variable(self):
         with pytest.raises(ValueError):
             eliminate(HomogeneousIdeal(2, [V(2, 0)]), set())
+
+
+def _eliminated_dimension(ideal: HomogeneousIdeal, keep, d: int) -> int:
+    """dim (I ∩ k[keep])_d from the degreewise oracle: with the monomials
+    that use an eliminated variable as the first columns, the echelon rows
+    pivoting on a kept-only monomial span the degree-d part of I ∩ k[keep]."""
+    columns = groebner.degree_columns(
+        ideal.nvars, d, colkey=lambda m: all(e == 0 for i, e in enumerate(m) if i not in keep)
+    )
+    _, ech = groebner.degree_echelon(ideal, d, columns)
+    first_kept = sum(1 for m in columns if any(m[i] for i in range(ideal.nvars) if i not in keep))
+    return sum(1 for c in ech.pivots if c >= first_kept)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_eliminate_matches_the_degreewise_oracle(seed):
+    """`eliminate` against linear algebra on seeded ideals in 2-5 variables:
+    every degree up to 4 of the eliminated ideal has the oracle's dimension.
+    One or two generators more than eliminated variables keep most
+    intersections nonzero."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 5)
+    keep = set(rng.sample(range(n), rng.randint(1, n - 1)))
+    degrees = sorted(rng.choice((1, 2, 2)) for _ in range(n - len(keep) + rng.randint(1, 2)))
+    ideal = HomogeneousIdeal(n, [_random_form(rng, n, d, 3) for d in degrees])
+    small = restrict_to_variables(eliminate(ideal, keep), keep)
+    for d in range(1, 5):
+        assert degree_dimension(small, d) == _eliminated_dimension(ideal, keep, d), d
 
 
 class TestOracle:
@@ -299,10 +325,8 @@ def _packed_case(draw):
     top = draw(st.sampled_from([64, (_Packing.BOUND - 1) // n]))
     weight = draw(st.sampled_from([3, 10**18]))
     weights = draw(st.none() | st.tuples(*[st.integers(-weight, weight)] * n))
-    blocks = st.lists(st.integers(0, n - 1), unique=True, min_size=1).map(tuple)
-    dropped = draw(st.none() | blocks)
     monomials = st.tuples(*[st.integers(top - 64, top)] * n)
-    return TermOrder(weights, dropped), draw(monomials), draw(monomials), draw(monomials)
+    return TermOrder(weights), draw(monomials), draw(monomials), draw(monomials)
 
 
 @settings(deadline=None, max_examples=200)
@@ -343,7 +367,9 @@ def test_degree_past_the_packing_bound_raises():
 
 
 @pytest.mark.parametrize(
-    "order", [weight_order(OnePS((3, -1, -1))), TermOrder(dropped=(2,))], ids=["weight", "dropped"]
+    "order",
+    [weight_order(OnePS((3, -1, -1))), _elimination_order(3, {2})],
+    ids=["weight", "elimination"],
 )
 def test_principal_ideal_skips_the_division_kernel(order, monkeypatch):
     """A one-generator basis is the generator made monic under the order,
@@ -361,7 +387,7 @@ def test_principal_ideal_skips_the_division_kernel(order, monkeypatch):
 
 
 # `_divide` calls of one basis computation, final interreduction included,
-# under GRLEX, a weight order and TermOrder(dropped=(0,)), as pair pruning
+# under GRLEX, a weight order and the order eliminating x0, as pair pruning
 # on exponent tuples made them: the packed criteria prune the same pairs
 DIVIDE_CALLS = [
     (35, 10, 35), (38, 14, 38), (23, 18, 23), (19, 19, 19), (38, 14, 38), (29, 14, 29),
@@ -384,7 +410,7 @@ def test_pair_pruning_keeps_the_division_count(ideal, calls, monkeypatch):
     monkeypatch.setattr(groebner, "_divide", counting)
     weights = (3,) + (-1,) * (ideal.nvars - 1)
     got = []
-    for order in (GRLEX, weight_order(OnePS(weights)), TermOrder(dropped=(0,))):
+    for order in (GRLEX, weight_order(OnePS(weights)), _elimination_order(ideal.nvars, {0})):
         count[0] = 0
         groebner._buchberger(ideal, order)
         got.append(count[0])
