@@ -47,7 +47,6 @@ from .hilbert import (
 )
 from .geometry import (
     JoinCheckReport,
-    ProjectivePoint,
     Splitting,
     coordinate_section,
     flat_limit,

@@ -681,9 +681,15 @@ def run_file(command: str | None, path: str, args) -> tuple[dict, int]:
     return out, code
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        """A usage error is an input error (exit 1); argparse's 2 means "inconclusive"."""
+        raise ValueError(message)
+
+
 # Built once per process: `main` only calls `parse_args`, which leaves
 # the parser unchanged, so one document's options never reach the next.
-_PARSER = argparse.ArgumentParser(
+_PARSER = _ArgumentParser(
     prog="flagstab",
     description="Exact flat limits, Chow weights and staged stability checks.",
 )
@@ -695,9 +701,8 @@ _PARSER.add_argument("--output", choices=("json", "text"), default="json")
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
-
     try:
+        args = _PARSER.parse_args(argv)
         if args.degree_bound is not None and args.degree_bound > MAX_DEGREE:
             raise ValueError(
                 f"--degree-bound {args.degree_bound} exceeds the cap of {MAX_DEGREE}"

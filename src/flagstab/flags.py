@@ -54,13 +54,13 @@ class HyperplanarFlag:
 
     def cut_vars(self, i: int) -> tuple[int, ...]:
         """Variable indices of v_{i+1}, ..., v_n."""
+        if not 0 <= i <= self.n:
+            raise ValueError(f"stratum must satisfy 0 <= i <= {self.n}")
         return tuple(range(self.dim_w + i, self.dim_v))
 
     def stratum_ideal(self, i: int) -> HomogeneousIdeal:
         """I(X^i) in the full ring: the top generators with the high flag
         coordinates set to zero, plus those coordinates themselves."""
-        if not 0 <= i <= self.n:
-            raise ValueError(f"stratum must satisfy 0 <= i <= {self.n}")
         cut = self.cut_vars(i)
         if not cut:
             return self.top_ideal
@@ -128,6 +128,15 @@ def standard_grading(flag: HyperplanarFlag) -> GradedOnePS:
     return GradedOnePS.standard((flag.dim_w,) + (1,) * flag.n)
 
 
+def _flag_grading(flag: HyperplanarFlag, g: GradedOnePS | None) -> GradedOnePS:
+    """g, by default the standard grading, once its shape fits the flag."""
+    if g is None:
+        g = standard_grading(flag)
+    if g.multiplicities != (flag.dim_w,) + (1,) * flag.n:
+        raise ValueError("grading multiplicities must be (dim W, 1, ..., 1)")
+    return g
+
+
 def flag_limit(
     flag: HyperplanarFlag,
     i: int,
@@ -141,8 +150,7 @@ def flag_limit(
     With check=True each stratum is recomputed as a flat limit under the
     stage-i two-weight degeneration; a mismatch is a hard error.
     """
-    if not 1 <= i <= flag.n:
-        raise ValueError(f"stage must satisfy 1 <= i <= {flag.n}")
+    sd = stage_data(_flag_grading(flag, g), i)  # checks 1 <= i <= n
     base = flag.stratum_ideal
     strata = [base(j) for j in range(i)]
     section = [g_.substitute_zero(flag.cut_vars(i - 1)) for g_ in flag.top_ideal.generators]
@@ -151,9 +159,6 @@ def flag_limit(
         strata.append(HomogeneousIdeal(flag.dim_v, gens))
     limit = FlagConfiguration(tuple(strata))
     if check:
-        if g is None:
-            g = standard_grading(flag)
-        sd = stage_data(g, i)
         # vector weights b on Z^{i-1} and a on the v's, a < b; the
         # degeneration order stores the negatives
         lam = OnePS(tuple(-w for w in sd.lambda_bracket.weights))
@@ -216,12 +221,10 @@ def validate_flag(flag: HyperplanarFlag) -> FlagValidationReport:
         hs.degree == degree for hs in data
     )
     nondeg = all(is_nondegenerate(ideal) for ideal in strata)
-    smooth: dict[int, bool] = {}
-    for i in range(1, flag.n + 1):
-        if data[i].dimension != i:
-            smooth[i] = False
-            continue
-        smooth[i] = singular_locus_empty(strata[i], i)
+    smooth = {
+        i: data[i].dimension == i and singular_locus_empty(strata[i])
+        for i in range(1, flag.n + 1)
+    }
 
     points_reduced: bool | None = None
     point_stability: str | None = None
@@ -288,10 +291,7 @@ def nrgit_stage_check(
     family constant; the limit configuration has trivial infinitesimal
     unipotent stabilizer (and, at stage 1, X^0 is a Chow-stable cycle);
     and the flag is not fixed by the stage retraction."""
-    if g is None:
-        g = standard_grading(flag)
-    if g.size != flag.dim_v or g.multiplicities != (flag.dim_w,) + (1,) * flag.n:
-        raise ValueError("grading multiplicities must be (dim W, 1, ..., 1)")
+    g = _flag_grading(flag, g)
     sd = stage_data(g, i)
     limit = flag_limit(flag, i, g, check=check)
     # X^0 is the same at every stage; the Chow weight reads its basis too

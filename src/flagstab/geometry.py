@@ -11,7 +11,7 @@ helpers here perform that negation at the call site.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import combinations
 
 from .linalg import rank_of_rows
 from .groebner import (
@@ -47,15 +47,6 @@ class Splitting:
             raise ValueError("both blocks of a splitting must be nonempty")
         if u & w or u | w != set(range(self.nvars)):
             raise ValueError("splitting blocks must partition the variables")
-
-
-@dataclass(frozen=True)
-class ProjectivePoint:
-    coords: tuple[Fraction, ...]
-
-    @classmethod
-    def of(cls, coords) -> "ProjectivePoint":
-        return cls(normalize_point(coords))
 
 
 def flat_limit(ideal: HomogeneousIdeal, lam: OnePS) -> HomogeneousIdeal:
@@ -175,61 +166,51 @@ def verify_limit_is_join(
     return JoinCheckReport(ok, True, limit, join, "" if ok else "limit differs from join")
 
 
-def tangent_space_dim(ideal: HomogeneousIdeal, p: ProjectivePoint) -> int:
-    """Dimension of the projective tangent space at a point of the scheme."""
-    if len(p.coords) != ideal.nvars:
+def tangent_space_dim(ideal: HomogeneousIdeal, coords) -> int:
+    """Dimension of the projective tangent space of the scheme at the
+    point with these coordinates, not all zero."""
+    p = normalize_point(coords)
+    if len(p) != ideal.nvars:
         raise ValueError("point length mismatch")
-    for g in ideal.generators:
-        if g.evaluate(p.coords) != 0:
-            raise PreconditionError("point does not lie on the subscheme")
-    rows = []
-    for g in ideal.generators:
-        row = {
-            j: g.partial(j).evaluate(p.coords) for j in range(ideal.nvars)
-        }
-        rows.append({j: v for j, v in row.items() if v != 0})
+    if any(g.evaluate(p) for g in ideal.generators):
+        raise PreconditionError("point does not lie on the subscheme")
+    rows = [{j: g.partial(j).evaluate(p) for j in range(ideal.nvars)} for g in ideal.generators]
     return (ideal.nvars - 1) - rank_of_rows(rows)
 
 
 def _jacobian_minors(ideal: HomogeneousIdeal, c: int) -> list[Polynomial]:
-    """All c x c minors of the Jacobian matrix of the generators."""
-    from itertools import combinations
+    """The nonzero c x c minors of the Jacobian matrix of the generators.
 
-    gens = ideal.generators
-    jac = [[g.partial(j) for j in range(ideal.nvars)] for g in gens]
+    One Laplace sweep per set of c rows r_0, ..., r_(c-1) builds the
+    minors on every column set S from M(()) = 1, expanding along row r_k:
+    M(S) = sum_p (-1)^(k+p) J[r_k][S_p] M(S minus S_p) for |S| = k + 1.
+    """
+    n = ideal.nvars
+    jac = [[g.partial(j) for j in range(n)] for g in ideal.generators]
     minors = []
-    for rows in combinations(range(len(gens)), c):
-        for cols in combinations(range(ideal.nvars), c):
-            minors.append(_poly_det([[jac[r][j] for j in cols] for r in rows]))
-    return [m for m in minors if not m.is_zero]
+    for rows in combinations(jac, c):
+        level = {(): Polynomial.constant(n, 1)}  # the nonzero minors on the rows so far
+        for k, row in enumerate(rows):
+            below, level = level, {}
+            for s in combinations(range(n), k + 1):
+                m = Polynomial.zero(n)
+                for p, j in enumerate(s):
+                    rest = below.get(s[:p] + s[p + 1 :])
+                    if rest is not None and not row[j].is_zero:
+                        m = m + row[j] * rest * (-1) ** (k + p)
+                if not m.is_zero:
+                    level[s] = m
+        minors += level.values()
+    return minors
 
 
-def _poly_det(matrix: list[list[Polynomial]]) -> Polynomial:
-    n = len(matrix)
-    if n == 1:
-        return matrix[0][0]
-    nvars = matrix[0][0].nvars
-    total = Polynomial.zero(nvars)
-    for j in range(n):
-        entry = matrix[0][j]
-        if entry.is_zero:
-            continue
-        sub = [row[:j] + row[j + 1 :] for row in matrix[1:]]
-        cofactor = entry * _poly_det(sub)
-        total = total + (cofactor if j % 2 == 0 else -cofactor)
-    return total
-
-
-def singular_locus_empty(ideal: HomogeneousIdeal, expected_dim: int) -> bool:
+def singular_locus_empty(ideal: HomogeneousIdeal) -> bool:
     """Jacobian criterion: True iff I plus the c x c minors of the Jacobian
     (c the codimension) cuts out the empty scheme, that is iff the leads of
     its reduced basis hold a power of every variable (a constant lead, the
     unit ideal, is a power of each; Cox-Little-O'Shea, "Ideals, Varieties,
     and Algorithms", ch. 5 par. 3, the finiteness theorem)."""
-    dimension = hilbert_series(ideal).dimension
-    if dimension != expected_dim:
-        raise PreconditionError(f"ideal has dimension {dimension}, expected {expected_dim}")
-    c = (ideal.nvars - 1) - expected_dim
+    c = (ideal.nvars - 1) - hilbert_series(ideal).dimension
     minors = _jacobian_minors(ideal, c)
     j_ideal = HomogeneousIdeal(ideal.nvars, list(ideal.generators) + minors)
     leads = buchberger(j_ideal, GRLEX).leading_monomials()

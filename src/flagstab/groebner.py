@@ -222,7 +222,11 @@ def _buchberger(ideal: HomogeneousIdeal, order: TermOrder) -> GroebnerBasis:
     # (deg lcm, lcm, i, j, packed lcm), largest first
     pairs: list[tuple[int, Monomial, int, int, int]] = []
     for g in ideal.generators:
-        _add_to_basis(_divisor(packing.terms(g)), basis, leads, pairs, packing)
+        r = packing.terms(g)
+        if basis:  # g less its remainder on the basis so far lies in the ideal
+            r, _ = _divide(r, basis, packing.mask)
+        if r:
+            _add_to_basis(_divisor(r), basis, leads, pairs, packing)
     while pairs:
         *_, i, j, pl = pairs.pop()
         # dividing x^(l - lead i)*basis[i] by basis[j] first forms their S-polynomial

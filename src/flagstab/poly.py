@@ -377,11 +377,6 @@ class Polynomial:
         )
         return Fraction(total * self.num, self.den * q**top)
 
-    def min_weight(self, lam: OnePS) -> int:
-        if not self.ints:
-            raise ValueError("zero polynomial has no weight")
-        return min(map(lam.weight, self.ints))
-
     def to_str(self, names=None, order: TermOrder = GRLEX) -> str:
         if not self.ints:
             return "0"

@@ -477,6 +477,55 @@ class TestExitCodes:
         assert results["hilbert_type"] == [["4"], ["1", "4"]]
         assert results["nondegenerate"] is True
 
+    def test_rational_normal_quintic_flag(self, tmp_path, capsys):
+        # the 2x2 minors of [[x0 ... x4], [x1 ... x4 v1]]: ten quadrics, whose
+        # Jacobian ideal Buchberger takes in by reducing each generator first
+        top, bottom = [f"x{i}" for i in range(5)], [f"x{i}" for i in range(1, 5)] + ["v1"]
+        minors = [
+            f"{top[i]}*{bottom[j]} - {top[j]}*{bottom[i]}" for i, j in combinations(range(5), 2)
+        ]
+        path = tmp_path / "quintic.txt"
+        ring = ", ".join(top + ["v1"])
+        path.write_text(f"ring {ring}\nideal: " + "; ".join(minors) + "\nflag: n=1\n")
+        code, out, _ = run(capsys, "flag-validate", str(path))
+        results = json.loads(out)["results"]
+        assert code == 2  # no points certificate
+        assert results["smooth"] == {"1": True}
+        assert results["degree"] == 5
+        assert results["hilbert_type"] == [["5"], ["1", "5"]]
+        assert results["nondegenerate"] is True
+
+    @pytest.mark.parametrize(
+        "argv", [("flag-limit",), ("flag-limit", "--check"), ("flag-check",)]
+    )
+    def test_grading_of_the_wrong_shape(self, tmp_path, capsys, argv):
+        # multiplicities (1, 2) where the flag needs (dim W, 1) = (2, 1)
+        path = tmp_path / "flag.txt"
+        path.write_text(FLAG_HEAD + "flag: n=1\nstage: 1\nbeta: 2, -1\nmults: 1, 2\n")
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert (code, out) == (1, "")
+        assert err == "flagstab: error: grading multiplicities must be (dim W, 1, ..., 1)\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("gb",), "the following arguments are required: FILE"),
+            (("gb", "doc.txt", "--bogus"), "unrecognized arguments: --bogus"),
+            (
+                ("gb", "doc.txt", "--degree-bound", "abc"),
+                "argument --degree-bound: invalid int value: 'abc'",
+            ),
+        ],
+    )
+    def test_usage_error_is_an_input_error(self, capsys, argv, message):
+        assert run(capsys, *argv) == (1, "", f"flagstab: error: {message}\n")
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "usage: flagstab" in capsys.readouterr().out
+
     def test_flag_check_stage_out_of_range(self, tmp_path, capsys):
         # the stage range is checked before the grading and the flag limit
         # are built, worded as by flag-limit and flag-weight

@@ -65,6 +65,12 @@ class TestHyperplanarFlag:
         small = cubic_flag.stratum_subring_ideal(0)
         assert small == HomogeneousIdeal(2, [V(2, 0) * V(2, 1) * (V(2, 0) + V(2, 1))])
 
+    @pytest.mark.parametrize("i", [-1, 2])
+    def test_stratum_index_out_of_range(self, cubic_flag, i):
+        for stratum in (cubic_flag.stratum_ideal, cubic_flag.stratum_subring_ideal):
+            with pytest.raises(ValueError, match="stratum must satisfy 0 <= i <= 1"):
+                stratum(i)
+
 
 class TestValidateFlag:
     def test_cubic_flag_passes(self, cubic_flag):

@@ -1,5 +1,8 @@
 """Flat limits, joins, sections, tangent spaces and smoothness."""
 
+import random
+from collections import Counter
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -21,12 +24,13 @@ from flagstab import (
     is_nondegenerate,
     join_ideal,
     linear_section,
+    monomials_of_degree,
     singular_locus_empty,
     tangent_space_dim,
     verify_limit_is_join,
 )
+from flagstab import groebner
 from flagstab.geometry import (
-    ProjectivePoint,
     Splitting,
     _jacobian_minors,
     coordinate_section,
@@ -211,39 +215,84 @@ class TestTangentSpace:
         # quadric cone in P^3; the vertex sees the whole ambient space
         x, y1, y2, y3 = (V(4, i) for i in range(4))
         cone = HomogeneousIdeal(4, [y1 * y3 - y2 * y2])
-        assert tangent_space_dim(cone, ProjectivePoint.of((1, 0, 0, 0))) == 3
+        assert tangent_space_dim(cone, (1, 0, 0, 0)) == 3
 
     def test_smooth_conic_point(self):
-        assert tangent_space_dim(CONIC, ProjectivePoint.of((1, 0, 0))) == 1
+        assert tangent_space_dim(CONIC, (1, 0, 0)) == 1
 
     def test_line_point(self):
         line = HomogeneousIdeal(3, [V(3, 2)])
-        assert tangent_space_dim(line, ProjectivePoint.of((1, 1, 0))) == 1
+        assert tangent_space_dim(line, (1, 1, 0)) == 1
 
     def test_rejects_off_scheme_point(self):
         with pytest.raises(ValueError):
-            tangent_space_dim(CONIC, ProjectivePoint.of((1, 1, 0)))
+            tangent_space_dim(CONIC, (1, 1, 0))
+
+    def test_rejects_the_zero_vector(self):
+        with pytest.raises(ValueError, match="zero coordinate vector"):
+            tangent_space_dim(CONIC, (0, 0, 0))
+
+
+def _cofactor_det(matrix: list[list[Polynomial]], nvars: int) -> Polynomial:
+    """Determinant by cofactor expansion along the first row, c! products
+    for a c x c matrix; 1 for the 0 x 0 matrix."""
+    if not matrix:
+        return Polynomial.constant(nvars, 1)
+    total = Polynomial.zero(nvars)
+    for j, entry in enumerate(matrix[0]):
+        if entry.is_zero:
+            continue
+        sub = [row[:j] + row[j + 1 :] for row in matrix[1:]]
+        cofactor = entry * _cofactor_det(sub, nvars)
+        total = total + (cofactor if j % 2 == 0 else -cofactor)
+    return total
+
+
+def _cofactor_minors(ideal: HomogeneousIdeal, c: int) -> list[Polynomial]:
+    """The nonzero c x c Jacobian minors, each expanded on its own."""
+    n, gens = ideal.nvars, ideal.generators
+    jac = [[g.partial(j) for j in range(n)] for g in gens]
+    minors = [
+        _cofactor_det([[jac[r][j] for j in cols] for r in rows], n)
+        for rows in combinations(range(len(gens)), c)
+        for cols in combinations(range(n), c)
+    ]
+    return [m for m in minors if not m.is_zero]
+
+
+def _rational_normal_curve(k: int) -> HomogeneousIdeal:
+    """The 2 x 2 minors of [[x0 ... x(k-1)], [x1 ... xk]]: the rational
+    normal curve of degree k in P^k."""
+    x = [V(k + 1, i) for i in range(k + 1)]
+    return HomogeneousIdeal(
+        k + 1, [x[i] * x[j + 1] - x[j] * x[i + 1] for i, j in combinations(range(k), 2)]
+    )
 
 
 class TestSingularLocus:
     def test_smooth_conic(self):
-        assert singular_locus_empty(CONIC, 1) is True
+        assert singular_locus_empty(CONIC) is True
+
+    def test_whole_space_is_smooth(self):
+        # codimension 0: the one 0 x 0 minor is 1
+        assert _jacobian_minors(HomogeneousIdeal(3, []), 0) == [Polynomial.constant(3, 1)]
+        assert singular_locus_empty(HomogeneousIdeal(3, [])) is True
 
     def test_nodal_cubic(self):
         y1, y2, y3 = (V(3, i) for i in range(3))
         nodal = HomogeneousIdeal(3, [y2 * y2 * y3 - y1 * y1 * (y1 + y3)])
-        assert singular_locus_empty(nodal, 1) is False
+        assert singular_locus_empty(nodal) is False
 
     def test_crossing_lines(self):
         crossing = HomogeneousIdeal(3, [V(3, 0) * V(3, 1)])
-        assert singular_locus_empty(crossing, 1) is False
+        assert singular_locus_empty(crossing) is False
 
     @pytest.mark.parametrize("cut, dim", [((0,), 1), ((0, 1), 0)])
     def test_linear_strata_are_smooth(self, cut, dim):
         # the line x = 0 and the point x = y = 0 in P^2: the minors hold a
         # nonzero constant, so the Jacobian ideal is the unit ideal
         linear = HomogeneousIdeal(3, [V(3, i) for i in cut])
-        assert singular_locus_empty(linear, dim) is True
+        assert singular_locus_empty(linear) is True
 
     def test_matches_the_dimension_of_the_jacobian_ideal(self):
         y1, y2, y3 = (V(3, i) for i in range(3))
@@ -274,10 +323,55 @@ class TestSingularLocus:
         for ideal, dim in cases:
             minors = _jacobian_minors(ideal, ideal.nvars - 1 - dim)
             jacobian = HomogeneousIdeal(ideal.nvars, list(ideal.generators) + minors)
-            verdict = singular_locus_empty(ideal, dim)
+            verdict = singular_locus_empty(ideal)
             assert verdict == (hilbert_data(jacobian).dimension < 0), ideal
             verdicts.add(verdict)
         assert verdicts == {True, False}
+
+    def test_minors_match_cofactor_expansion(self):
+        """The sweep's nonzero minors are the cofactor expansion's, as a
+        multiset and with signs, at every c: the rational normal curves of
+        degree 3, 4 and 5, the ideals above and 40 seeded ideals."""
+        y1, y2, y3 = (V(3, i) for i in range(3))
+        ideals = [_rational_normal_curve(k) for k in (3, 4, 5)]
+        ideals += [
+            CONIC,
+            HomogeneousIdeal(3, [y2 * y2 * y3 - y1 * y1 * (y1 + y3)]),
+            HomogeneousIdeal(3, [y1 * y2]),
+            HomogeneousIdeal(3, [y1 * y1]),
+            HomogeneousIdeal(3, [y2 * y2 * y3 - y1**3]),
+            HomogeneousIdeal(3, [y1]),
+            HomogeneousIdeal(3, [y1, y2]),
+        ]
+        rng = random.Random(23)
+        for _ in range(40):
+            n = rng.randint(2, 4)
+            gens = []
+            for _ in range(rng.randint(1, 4)):
+                monos = monomials_of_degree(n, rng.randint(1, 3))
+                picked = rng.sample(monos, min(rng.randint(1, 4), len(monos)))
+                gens.append(Polynomial(n, {m: rng.choice((-3, -1, 1, 2)) for m in picked}))
+            ideals.append(HomogeneousIdeal(n, gens))
+        for ideal in ideals:
+            for c in range(ideal.nvars + 1):
+                expected = Counter(_cofactor_minors(ideal, c))
+                assert Counter(_jacobian_minors(ideal, c)) == expected, (ideal, c)
+
+    def test_rational_normal_quintic_jacobian_counts(self, monkeypatch):
+        """The quintic's ten quadrics and 2 795 nonzero 4 x 4 minors are
+        2 075 distinct generators; reducing each by the basis so far, the
+        basis takes 31 insertions."""
+        quintic = _rational_normal_curve(5)
+        minors = _jacobian_minors(quintic, 4)
+        jacobian = HomogeneousIdeal(6, list(quintic.generators) + minors)
+        assert len(jacobian.generators) == 2075
+        add, inserted = groebner._add_to_basis, []
+        monkeypatch.setattr(
+            groebner, "_add_to_basis", lambda g, *rest: (inserted.append(g), add(g, *rest))
+        )
+        groebner._buchberger(jacobian, GRLEX)
+        assert len(inserted) == 31
+        assert singular_locus_empty(quintic) is True
 
 
 class TestNondegeneracy:

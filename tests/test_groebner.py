@@ -386,14 +386,15 @@ def test_principal_ideal_skips_the_division_kernel(order, monkeypatch):
     assert f.monic(order).leading(order)[1] == 1
 
 
-# `_divide` calls of one basis computation, final interreduction included,
-# under GRLEX, a weight order and the order eliminating x0, as pair pruning
-# on exponent tuples made them: the packed criteria prune the same pairs
+# `_divide` calls of one basis computation, under GRLEX, a weight order and
+# the order eliminating x0: one per input generator after the first, one
+# per pair the packed Gebauer-Moeller criteria keep, and one per element
+# of the reduced basis
 DIVIDE_CALLS = [
-    (35, 10, 35), (38, 14, 38), (23, 18, 23), (19, 19, 19), (38, 14, 38), (29, 14, 29),
-    (34, 18, 34), (23, 18, 23), (38, 15, 38), (30, 15, 30), (3, 3, 3), (2, 5, 2),
-    (10, 9, 10), (17, 19, 17), (21, 17, 21), (8, 8, 8), (19, 18, 19), (11, 8, 11),
-    (33, 6, 33), (8, 6, 8), (10, 10, 10), (15, 15, 15), (8, 5, 8),
+    (35, 12, 35), (39, 16, 39), (24, 19, 24), (20, 19, 20), (39, 16, 39), (31, 16, 31),
+    (35, 19, 35), (24, 19, 24), (39, 16, 39), (31, 16, 31), (3, 3, 3), (3, 6, 3),
+    (10, 10, 10), (19, 19, 19), (22, 18, 22), (8, 8, 8), (20, 19, 20), (11, 8, 11),
+    (35, 8, 35), (9, 6, 9), (10, 10, 10), (16, 16, 16), (9, 6, 9),
 ]  # fmt: skip
 
 
@@ -415,6 +416,19 @@ def test_pair_pruning_keeps_the_division_count(ideal, calls, monkeypatch):
         groebner._buchberger(ideal, order)
         got.append(count[0])
     assert tuple(got) == calls
+
+
+def test_generators_reduced_to_zero_are_not_inserted(monkeypatch):
+    """Each generator is reduced by the basis so far. Sorted, they are y^2,
+    x^2 + y^2 and x^2: the second leaves x^2 on y^2, the third nothing."""
+    add, inserted = groebner._add_to_basis, []
+    monkeypatch.setattr(
+        groebner, "_add_to_basis", lambda g, *rest: (inserted.append(g), add(g, *rest))
+    )
+    x, y = V(2, 0), V(2, 1)
+    gb = groebner._buchberger(HomogeneousIdeal(2, [x**2, y**2, x**2 + y**2]), GRLEX)
+    assert len(inserted) == 2
+    assert gb.basis == (y**2, x**2)
 
 
 @pytest.mark.parametrize("ideal", RANDOM_IDEALS[:6] + WIDE_IDEALS[:3])
