@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 from .linalg import rank_of_rows
 from .groebner import (
@@ -178,14 +179,23 @@ def tangent_space_dim(ideal: HomogeneousIdeal, coords) -> int:
     return (ideal.nvars - 1) - rank_of_rows(rows)
 
 
+# Jacobian minors: C(m, c) * C(nvars, c) for m generators, counted before
+# any is built; the rational normal sextic flag asks for 63 063 of them
+MAX_MINORS = 100_000
+
+
 def _jacobian_minors(ideal: HomogeneousIdeal, c: int) -> list[Polynomial]:
-    """The nonzero c x c minors of the Jacobian matrix of the generators.
+    """The nonzero c x c minors of the Jacobian matrix of the generators,
+    refused with a `ValueError` when there are more than `MAX_MINORS`.
 
     One Laplace sweep per set of c rows r_0, ..., r_(c-1) builds the
     minors on every column set S from M(()) = 1, expanding along row r_k:
     M(S) = sum_p (-1)^(k+p) J[r_k][S_p] M(S minus S_p) for |S| = k + 1.
     """
     n = ideal.nvars
+    count = comb(len(ideal.generators), c) * comb(n, c)
+    if count > MAX_MINORS:
+        raise ValueError(f"{count} Jacobian minors of size {c} exceed the cap of {MAX_MINORS}")
     jac = [[g.partial(j) for j in range(n)] for g in ideal.generators]
     minors = []
     for rows in combinations(jac, c):
@@ -210,7 +220,11 @@ def singular_locus_empty(ideal: HomogeneousIdeal) -> bool:
     its reduced basis hold a power of every variable (a constant lead, the
     unit ideal, is a power of each; Cox-Little-O'Shea, "Ideals, Varieties,
     and Algorithms", ch. 5 par. 3, the finiteness theorem)."""
-    c = (ideal.nvars - 1) - hilbert_series(ideal).dimension
+    return _singular_locus_empty(ideal, (ideal.nvars - 1) - hilbert_series(ideal).dimension)
+
+
+def _singular_locus_empty(ideal: HomogeneousIdeal, c: int) -> bool:
+    """`singular_locus_empty` for an ideal of codimension c."""
     minors = _jacobian_minors(ideal, c)
     j_ideal = HomogeneousIdeal(ideal.nvars, list(ideal.generators) + minors)
     leads = buchberger(j_ideal, GRLEX).leading_monomials()

@@ -32,6 +32,7 @@ from .poly import (
     OnePS,
     monomial_divides,
     monomials_of_degree,
+    series_coefficient,
     weight_order,
 )
 
@@ -134,17 +135,10 @@ def _cancel(num: list[int], pole: int) -> tuple[list[int], int]:
     return num, pole if num else 0
 
 
-def _coefficient(q: list[int], d: int, m: int) -> int:
-    """Coefficient of t^m in q(t)/(1-t)^d."""
-    if d == 0:
-        return q[m] if m < len(q) else 0
-    return sum(c * comb(m - k + d - 1, d - 1) for k, c in enumerate(q[: m + 1]))
-
-
 def _eventual_polynomial(q: list[int], d: int) -> tuple[list[int], int]:
-    """(E, k) with E/k the polynomial in m equal to _coefficient(q, d, m) for
-    m >= len(q) - d: E is the sum of q_k * (m - k + 1)...(m - k + d - 1) in
-    ascending powers of m, with integer coefficients, and k = (d - 1)!."""
+    """(E, k) with E/k the polynomial in m equal to series_coefficient(q, d, m)
+    for m >= len(q) - d: E is the sum of q_k * (m - k + 1)...(m - k + d - 1)
+    in ascending powers of m, with integer coefficients, and k = (d - 1)!."""
     total = [0] * max(d, 1)
     for k, c in enumerate(q if d else ()):
         term = [c]
@@ -210,7 +204,7 @@ def hilbert_data(ideal: HomogeneousIdeal) -> HilbertData:
         (
             m + 1
             for m in range(len(q) - d - 1, -1, -1)
-            if k * _coefficient(q, d, m) != eval_poly(e, m)
+            if k * series_coefficient(q, d, m) != eval_poly(e, m)
         ),
         0,
     )
@@ -222,7 +216,7 @@ def hilbert_data(ideal: HomogeneousIdeal) -> HilbertData:
     start = max(sum(gen_degs), 2 * max(gen_degs, default=0), 1)
     s = start + max(0, -((start - stab) // n)) * n
     window = range(min(start, max(stab - 1, 0)), s + 3 * n + 2)
-    hf = {m: _coefficient(q, d, m) if m < stab else eval_poly(e, m) // k for m in window}
+    hf = {m: series_coefficient(q, d, m) if m < stab else eval_poly(e, m) // k for m in window}
     coeffs = tuple(Fraction(c, k) for c in e)
     return HilbertData(hf, coeffs, stab, series.dimension, series.degree)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import gcd, lcm, prod
+from math import comb, gcd, lcm, prod
 from operator import add
 
 Monomial = tuple[int, ...]
@@ -58,6 +58,14 @@ def monomials_of_degree(nvars: int, d: int) -> tuple[Monomial, ...]:
         out.append(tuple(exps))
     out.sort(reverse=True)
     return tuple(out)
+
+
+def series_coefficient(q: list[int], d: int, m: int) -> int:
+    """Coefficient of t^m in q(t)/(1-t)^d, q an integer coefficient list in
+    ascending powers of t."""
+    if d == 0:
+        return q[m] if m < len(q) else 0
+    return sum(c * comb(m - k + d - 1, d - 1) for k, c in enumerate(q[: m + 1]))
 
 
 @dataclass(frozen=True)

@@ -495,6 +495,21 @@ class TestExitCodes:
         assert results["hilbert_type"] == [["5"], ["1", "5"]]
         assert results["nondegenerate"] is True
 
+    def test_rational_normal_septic_flag_is_refused(self, tmp_path, capsys):
+        # the 2x2 minors of [[x0 ... x6], [x1 ... x6 v1]]: 21 quadrics in 8
+        # variables, whose smoothness check would take C(21, 6) * C(8, 6)
+        # Jacobian minors; the cap refuses them before the first is built
+        top, bottom = [f"x{i}" for i in range(7)], [f"x{i}" for i in range(1, 7)] + ["v1"]
+        minors = [
+            f"{top[i]}*{bottom[j]} - {top[j]}*{bottom[i]}" for i, j in combinations(range(7), 2)
+        ]
+        path = tmp_path / "septic.txt"
+        ring = ", ".join(top + ["v1"])
+        path.write_text(f"ring {ring}\nideal: " + "; ".join(minors) + "\nflag: n=1\n")
+        code, out, err = run(capsys, "flag-validate", str(path))
+        assert code == 1 and out == ""
+        assert "1519392 Jacobian minors of size 6 exceed the cap of 100000" in err
+
     @pytest.mark.parametrize(
         "argv", [("flag-limit",), ("flag-limit", "--check"), ("flag-check",)]
     )

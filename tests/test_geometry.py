@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -27,10 +28,13 @@ from flagstab import (
     monomials_of_degree,
     singular_locus_empty,
     tangent_space_dim,
+    validate_flag,
     verify_limit_is_join,
 )
-from flagstab import groebner
+from flagstab import flags as flags_module
+from flagstab import geometry, groebner
 from flagstab.geometry import (
+    MAX_MINORS,
     Splitting,
     _jacobian_minors,
     coordinate_section,
@@ -372,6 +376,46 @@ class TestSingularLocus:
         groebner._buchberger(jacobian, GRLEX)
         assert len(inserted) == 31
         assert singular_locus_empty(quintic) is True
+
+
+    def test_minors_cap_counts_before_any_minor(self, monkeypatch):
+        """The rational normal septic asks for C(21, 6) * C(8, 6) minors and
+        is refused before a partial derivative is taken; the sextic's
+        C(15, 5) * C(7, 5) pass the cap and reach the sweep."""
+        assert comb(15, 5) * comb(7, 5) == 63_063 <= MAX_MINORS
+        assert comb(21, 6) * comb(8, 6) == 1_519_392 > MAX_MINORS
+
+        class Swept(Exception):
+            pass
+
+        def refuse(*args):
+            raise Swept
+
+        monkeypatch.setattr(Polynomial, "partial", refuse)
+        with pytest.raises(ValueError, match="1519392 Jacobian minors of size 6 exceed the cap"):
+            _jacobian_minors(_rational_normal_curve(7), 6)
+        with pytest.raises(Swept):
+            _jacobian_minors(_rational_normal_curve(6), 5)
+
+    def test_validate_flag_passes_the_codimension(self, monkeypatch):
+        """`validate_flag` hands each stratum's codimension to the check, so
+        the check computes no Hilbert series of its own."""
+        seen, check = [], geometry._singular_locus_empty
+
+        def recording(ideal, c):
+            seen.append((ideal.nvars, c))
+            return check(ideal, c)
+
+        def refuse(ideal):
+            raise AssertionError("the smoothness check computed a Hilbert series")
+
+        monkeypatch.setattr(flags_module, "_singular_locus_empty", recording)
+        monkeypatch.setattr(geometry, "hilbert_series", refuse)
+        x, y, v1, v2 = (V(4, i) for i in range(4))
+        surface = x * y * (x - y) * (x - 2 * y) + v1**4 - 2 * v2**4
+        report = validate_flag(HyperplanarFlag(2, 4, HomogeneousIdeal(4, [surface])))
+        assert seen == [(3, 1), (4, 1)]
+        assert report.smooth == {1: True, 2: True}
 
 
 class TestNondegeneracy:

@@ -18,6 +18,7 @@ from flagstab import (
     contains_oracle,
     degree_dimension,
     eliminate,
+    hilbert_series,
     ideal_equal,
     monomials_of_degree,
     normal_form,
@@ -168,6 +169,30 @@ RANDOM_IDS = [f"{ideal.nvars}vars-{k}" for k, ideal in enumerate(RANDOM_IDEALS)]
 RANDOM_IDS += [f"{ideal.nvars}vars-wide-{k}" for k, ideal in enumerate(WIDE_IDEALS)]
 
 
+def _sympy_grlex_basis(ideal: HomogeneousIdeal) -> set[Polynomial]:
+    """sympy's reduced graded-lex basis, made monic; skips without sympy."""
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.symbols(f"x0:{ideal.nvars}")
+    gens = [
+        sympy.Poly.from_dict(
+            {m: sympy.Rational(c.numerator, c.denominator) for m, c in g.terms.items()},
+            *xs,
+        ).as_expr()
+        for g in ideal.generators
+    ]
+    reference = sympy.groebner(gens, *xs, order="grlex", domain="QQ")
+    return {
+        Polynomial(
+            ideal.nvars,
+            {
+                m: Fraction(int(c.numerator), int(c.denominator))
+                for m, c in p.as_dict(native=True).items()
+            },
+        ).monic(GRLEX)
+        for p in reference.polys
+    }
+
+
 class TestAgainstIndependentChecks:
     """Pair pruning and integer arithmetic must not change the basis:
     GRLEX bases are compared with sympy; weight and elimination orders are
@@ -175,27 +200,7 @@ class TestAgainstIndependentChecks:
 
     @pytest.mark.parametrize("ideal", RANDOM_IDEALS + WIDE_IDEALS, ids=RANDOM_IDS)
     def test_grlex_basis_matches_sympy(self, ideal):
-        sympy = pytest.importorskip("sympy")
-        xs = sympy.symbols(f"x0:{ideal.nvars}")
-        gens = [
-            sympy.Poly.from_dict(
-                {m: sympy.Rational(c.numerator, c.denominator) for m, c in g.terms.items()},
-                *xs,
-            ).as_expr()
-            for g in ideal.generators
-        ]
-        reference = sympy.groebner(gens, *xs, order="grlex", domain="QQ")
-        want = {
-            Polynomial(
-                ideal.nvars,
-                {
-                    m: Fraction(int(c.numerator), int(c.denominator))
-                    for m, c in p.as_dict(native=True).items()
-                },
-            ).monic(GRLEX)
-            for p in reference.polys
-        }
-        assert {g.monic(GRLEX) for g in buchberger(ideal).basis} == want
+        assert {g.monic(GRLEX) for g in buchberger(ideal).basis} == _sympy_grlex_basis(ideal)
 
     @pytest.mark.parametrize("ideal", RANDOM_IDEALS + WIDE_IDEALS, ids=RANDOM_IDS)
     def test_weight_and_block_orders_satisfy_buchberger_criterion(self, ideal):
@@ -388,13 +393,13 @@ def test_principal_ideal_skips_the_division_kernel(order, monkeypatch):
 
 # `_divide` calls of one basis computation, under GRLEX, a weight order and
 # the order eliminating x0: one per input generator after the first, one
-# per pair the packed Gebauer-Moeller criteria keep, and one per element
-# of the reduced basis
+# per pair the packed Gebauer-Moeller criteria keep and the Hilbert floor
+# does not drop, and one per element of the reduced basis
 DIVIDE_CALLS = [
-    (35, 12, 35), (39, 16, 39), (24, 19, 24), (20, 19, 20), (39, 16, 39), (31, 16, 31),
-    (35, 19, 35), (24, 19, 24), (39, 16, 39), (31, 16, 31), (3, 3, 3), (3, 6, 3),
-    (10, 10, 10), (19, 19, 19), (22, 18, 22), (8, 8, 8), (20, 19, 20), (11, 8, 11),
-    (35, 8, 35), (9, 6, 9), (10, 10, 10), (16, 16, 16), (9, 6, 9),
+    (21, 10, 21), (23, 11, 23), (15, 13, 15), (13, 13, 13), (23, 11, 23), (19, 13, 19),
+    (21, 13, 21), (15, 13, 15), (23, 11, 23), (19, 12, 19), (3, 3, 3), (3, 5, 3),
+    (9, 9, 9), (14, 14, 14), (15, 13, 15), (7, 7, 7), (13, 13, 13), (9, 7, 9),
+    (21, 7, 21), (7, 5, 7), (9, 9, 9), (15, 15, 15), (7, 5, 7),
 ]  # fmt: skip
 
 
@@ -462,3 +467,168 @@ def test_normal_form_matches_sympy(ideal):
             if c
         }
         assert normal_form(f, basis) == Polynomial(ideal.nvars, want)
+
+
+def _generic_forms(rng: random.Random, nvars: int, degrees) -> list[Polynomial]:
+    """Forms with every monomial of their degree and seeded coefficients."""
+    coeffs = [c for c in range(-9, 10) if c]
+    return [
+        Polynomial(nvars, {m: rng.choice(coeffs) for m in monomials_of_degree(nvars, d)})
+        for d in degrees
+    ]
+
+
+def _floor_cases() -> dict[str, HomogeneousIdeal]:
+    rng = random.Random(1996)
+    x, y, z, w = (V(4, i) for i in range(4))
+    f, g = _generic_forms(rng, 3, (2, 2))
+    return {
+        "three-quadrics-in-P3": HomogeneousIdeal(4, _generic_forms(rng, 4, (2, 2, 2))),
+        "m-primary": HomogeneousIdeal(3, _generic_forms(rng, 3, (2, 2, 3))),
+        "twisted-cubic": twisted_cubic(),
+        "two-skew-lines": HomogeneousIdeal(4, [x * z, x * w, y * z, y * w]),
+        "f-g-f+g": HomogeneousIdeal(3, [f, g, f + g]),
+        "constant": HomogeneousIdeal(3, [Polynomial.constant(3, 1), f, g]),
+    }
+
+
+FLOOR_CASES = _floor_cases()
+
+
+def _floor_off(monkeypatch) -> None:
+    """Reduce every pair, as Buchberger did before the Hilbert floor."""
+    monkeypatch.setattr(groebner._Floor, "met", lambda self, d: False)
+
+
+def _zero_remainders(monkeypatch) -> list[int]:
+    """A counter of the `_divide` calls that leave no remainder."""
+    divide, count = groebner._divide, [0]
+
+    def counting(*args):
+        r, scale = divide(*args)
+        count[0] += not r
+        return r, scale
+
+    monkeypatch.setattr(groebner, "_divide", counting)
+    return count
+
+
+def _floor_met(monkeypatch) -> list[int]:
+    """A counter of the pairs the floor drops."""
+    met, count = groebner._Floor.met, [0]
+
+    def counting(self, d):
+        verdict = met(self, d)
+        count[0] += verdict
+        return verdict
+
+    monkeypatch.setattr(groebner._Floor, "met", counting)
+    return count
+
+
+class TestHilbertFloor:
+    """Dropping a degree's pairs once the leads meet the complete-intersection
+    floor never changes a basis, and it drops only zero reductions."""
+
+    def test_cases_are_what_they_say(self):
+        assert hilbert_series(FLOOR_CASES["three-quadrics-in-P3"]) == ([1, 3, 3, 1], 1)
+        assert hilbert_series(FLOOR_CASES["m-primary"]).pole == 0
+        assert hilbert_series(FLOOR_CASES["twisted-cubic"]).degree == 3
+        assert hilbert_series(FLOOR_CASES["two-skew-lines"]).degree == 2
+
+    @pytest.mark.parametrize("name", FLOOR_CASES)
+    def test_grlex_basis_matches_sympy(self, name):
+        ideal = FLOOR_CASES[name]
+        assert {g.monic(GRLEX) for g in buchberger(ideal).basis} == _sympy_grlex_basis(ideal)
+
+    @pytest.mark.parametrize("name", FLOOR_CASES)
+    def test_same_basis_without_the_floor(self, name, monkeypatch):
+        ideal = FLOOR_CASES[name]
+        weights = (2, -1) + (0,) * (ideal.nvars - 3) + (-1,)
+        orders = [GRLEX, weight_order(OnePS(weights)), _elimination_order(ideal.nvars, {0})]
+        with_floor = [groebner._buchberger(ideal, order) for order in orders]
+        _floor_off(monkeypatch)
+        assert with_floor == [groebner._buchberger(ideal, order) for order in orders]
+
+    def test_same_basis_without_the_floor_on_seeded_ideals(self, monkeypatch):
+        """60 seeded ideals of r <= n forms in 2-5 variables, each under
+        GRLEX and a seeded weight order; the floor drops pairs in them."""
+        rng = random.Random(2024)
+        met = _floor_met(monkeypatch)
+        cases = []
+        for _ in range(60):
+            n = rng.randint(2, 5)
+            gens = [
+                _random_form(rng, n, rng.randint(1, 3), rng.randint(2, 5))
+                for _ in range(rng.randint(2, n))
+            ]
+            lam = OnePS(tuple(rng.randint(-3, 3) for _ in range(n)))
+            for order in (GRLEX, weight_order(lam)):
+                ideal = HomogeneousIdeal(n, gens)
+                cases.append((ideal, order, groebner._buchberger(ideal, order)))
+        assert met[0] > 0
+        _floor_off(monkeypatch)
+        for ideal, order, gb in cases:
+            assert groebner._buchberger(ideal, order) == gb, (ideal, order)
+
+    def test_fewer_zero_reductions_on_a_complete_intersection(self, monkeypatch):
+        """Three quadrics in P^3 meet the floor; the twisted cubic, no
+        complete intersection, never does, so it keeps every reduction."""
+        zeros, met = _zero_remainders(monkeypatch), _floor_met(monkeypatch)
+        ideals = [FLOOR_CASES["three-quadrics-in-P3"], FLOOR_CASES["twisted-cubic"]]
+        with_floor = []
+        for ideal in ideals:
+            zeros[0] = met[0] = 0
+            groebner._buchberger(ideal, GRLEX)
+            with_floor.append((zeros[0], met[0]))
+        _floor_off(monkeypatch)
+        without = []
+        for ideal in ideals:
+            zeros[0] = 0
+            groebner._buchberger(ideal, GRLEX)
+            without.append(zeros[0])
+        (ci_zeros, ci_met), (cubic_zeros, cubic_met) = with_floor
+        assert ci_zeros < without[0] and ci_met == without[0] - ci_zeros
+        assert cubic_met == 0 and cubic_zeros == without[1]
+
+    @pytest.mark.parametrize("extra", [1, 2])
+    def test_the_floor_counts_inserted_generators(self, extra, monkeypatch):
+        """f + g and f - g reduce to zero on entry, so four generators in
+        three variables still get a floor, that of the two quadrics f and
+        g: (1 - t^2)^2 / (1 - t)^3."""
+        f, g = _generic_forms(random.Random(7), 3, (2, 2))
+        ideal = HomogeneousIdeal(3, [f, g, f + g, f - g][: 2 + extra])
+        floors, init = [], groebner._Floor.__init__
+
+        def recording(self, *args):
+            init(self, *args)
+            floors.append(self)
+
+        monkeypatch.setattr(groebner._Floor, "__init__", recording)
+        groebner._buchberger(ideal, GRLEX)
+        assert [floor.q for floor in floors] == [[1, 0, -2, 0, 1]]
+
+    def test_more_generators_than_variables_reduce_every_pair(self, monkeypatch):
+        """Six quadrics in five variables, the rational normal quartic: r > n."""
+
+        def refuse(*args):
+            raise AssertionError("floor built for r > n")
+
+        monkeypatch.setattr(groebner, "_Floor", refuse)
+        x = [V(5, i) for i in range(5)]
+        quartic = [x[i] * x[j + 1] - x[j] * x[i + 1] for i, j in combinations(range(4), 2)]
+        assert len(groebner._buchberger(HomogeneousIdeal(5, quartic), GRLEX).basis) == 6
+
+    def test_the_count_stops_when_it_outgrows_the_basis(self, monkeypatch):
+        """Two quadrics in 32 variables: std(1) has 32 monomials and the
+        basis 8 terms, so std(2) is never built and every pair is reduced."""
+        sizes, grow = [], groebner._Floor._grow
+        monkeypatch.setattr(
+            groebner._Floor, "_grow", lambda self: (grow(self), sizes.append(self.std))
+        )
+        x = [V(32, i) for i in range(32)]
+        ideal = HomogeneousIdeal(32, [x[0] * x[1] + x[2] * x[3], x[0] * x[4] - x[5] * x[6]])
+        gb = groebner._buchberger(ideal, GRLEX)
+        assert [None if s is None else len(s) for s in sizes] == [32, None]
+        _floor_off(monkeypatch)
+        assert groebner._buchberger(ideal, GRLEX) == gb

@@ -27,10 +27,10 @@ from flagstab.hilbert import (
     PointConfiguration,
     PreconditionError,
     StabilityVerdict,
-    _coefficient,
     eval_poly,
 )
 from flagstab.linalg import Echelon, row_from_fractions
+from flagstab.poly import series_coefficient
 
 from conftest import V, corpus_ideals, small_ideals_with_weights, twisted_cubic
 
@@ -119,7 +119,7 @@ class TestHilbertData:
             assert hs.polynomial() == hd.coefficients, ideal
             # from stabilization on the window is the polynomial's value
             for m, value in hd.hilbert_function.items():
-                assert value == _coefficient(*hs, m), (ideal, m)
+                assert value == series_coefficient(*hs, m), (ideal, m)
 
 
 class TestWeightedSliceWeight:
