@@ -33,16 +33,9 @@ from .geometry import (
     Splitting,
     flat_limit,
     flat_limit_oracle,
-    join_ideal,
     verify_limit_is_join,
 )
-from .groebner import (
-    buchberger,
-    canonical_generators,
-    gb_memo,
-    ideal_equal,
-    restrict_to_variables,
-)
+from .groebner import buchberger, canonical_generators, gb_memo, ideal_equal
 from .hilbert import (
     InternalLimitError,
     PointConfiguration,
@@ -50,6 +43,7 @@ from .hilbert import (
     chow_points_stability,
     chow_weight_numeric,
     hilbert_data,
+    hilbert_series,
 )
 from .parabolic import GradedOnePS, stage_data
 from .poly import (
@@ -66,7 +60,7 @@ from .poly import (
 # rather than left to exhaust memory in the parser or the computations.
 MAX_VARIABLES = 32
 MAX_EXPONENT = 64
-MAX_DEGREE = 64  # total degree of a generator, of every product in it and --degree-bound
+MAX_DEGREE = 64  # total degree of a generator and of every product in it
 MAX_TERMS = 10_000  # terms of a product, bounded before it is expanded
 MAX_POINT_WORK = 20_000  # point stability: subsets enumerated times points counted
 
@@ -79,6 +73,11 @@ class ParseError(ValueError):
 
 
 # -- polynomial expression parsing ------------------------------------
+
+
+def _is_name(text: str) -> bool:
+    """A name as `_Tokens.name` reads one: a letter or "_", then letters, digits or "_"."""
+    return (text[:1].isalpha() or text[:1] == "_") and text.replace("_", "a").isalnum()
 
 
 class _Tokens:
@@ -288,11 +287,14 @@ def parse_document(text: str) -> InputDocument:
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:
             continue
-        if stripped.startswith("ring"):
-            body = stripped[4:].lstrip(":").strip()
+        if stripped.partition(":")[0].split()[:1] == ["ring"]:  # the first word is "ring"
+            body = stripped[4:].lstrip().removeprefix(":")
             names = [n.strip() for n in body.split(",") if n.strip()]
             if not names:
                 raise ParseError("empty ring declaration", lineno, 1)
+            for n in names:
+                if not _is_name(n):
+                    raise ParseError(f"malformed variable name '{n}'", lineno, 1)
             if len(set(names)) != len(names):
                 raise ParseError("repeated variable name", lineno, 1)
             if len(names) > MAX_VARIABLES:
@@ -514,11 +516,14 @@ def _flat_limit(doc: InputDocument, args) -> dict:
     ideal, lam = _ideal(doc), _weights(doc)
     limit = flat_limit(ideal, lam)
     if args.check:
-        bound = args.degree_bound
-        if bound is None:
-            bound = max(6, ideal.max_generator_degree())
+        # The oracle up to the top generator degree shows limit <= in(I);
+        # a Groebner degeneration is flat, so in(I) has the Hilbert series
+        # of I, and an equal series of the limit makes the two equal.
+        bound = max(limit.max_generator_degree(), ideal.max_generator_degree())
         if not ideal_equal(limit, flat_limit_oracle(ideal, lam, bound)):
             raise InternalLimitError("flat limit disagrees with the degreewise oracle")
+        if hilbert_series(limit) != hilbert_series(ideal):
+            raise InternalLimitError("flat limit's Hilbert series differs from the ideal's")
     return {"generators": limit}
 
 
@@ -548,8 +553,7 @@ def _join(doc: InputDocument, args) -> dict:
             g.variables_used() <= set(split.w_vars),
             "join generators must only use W-variables",
         )
-    y = restrict_to_variables(ideal, split.w_vars)
-    return {"generators": canonical_generators(join_ideal(y, split))}
+    return {"generators": canonical_generators(ideal)}  # the ideal of Y, read in the full ring
 
 
 def _verify_limit_join(doc: InputDocument, args) -> JoinCheckReport:
@@ -696,17 +700,12 @@ _PARSER = _ArgumentParser(
 _PARSER.add_argument("command", choices=(*COMMANDS, "batch"))
 _PARSER.add_argument("files", nargs="+", metavar="FILE")
 _PARSER.add_argument("--check", action="store_true", help="enable cross-checks")
-_PARSER.add_argument("--degree-bound", type=int, default=None)
 _PARSER.add_argument("--output", choices=("json", "text"), default="json")
 
 
 def main(argv=None) -> int:
     try:
         args = _PARSER.parse_args(argv)
-        if args.degree_bound is not None and args.degree_bound > MAX_DEGREE:
-            raise ValueError(
-                f"--degree-bound {args.degree_bound} exceeds the cap of {MAX_DEGREE}"
-            )
         if args.command == "batch":
             outputs, code = [], 0
             for path in args.files:

@@ -63,6 +63,11 @@ def flat_limit(ideal: HomogeneousIdeal, lam: OnePS) -> HomogeneousIdeal:
     return HomogeneousIdeal(ideal.nvars, [initial_part(g, lam) for g in gb.basis])
 
 
+# Columns of the degreewise oracle over all its degrees: 4 variables up
+# to degree 6 take 210, 8 variables up to degree 20 take 3 108 105
+MAX_ORACLE_COLUMNS = 100_000
+
+
 def flat_limit_oracle(
     ideal: HomogeneousIdeal, lam: OnePS, degree_bound: int
 ) -> HomogeneousIdeal:
@@ -70,10 +75,16 @@ def flat_limit_oracle(
 
     For each degree, row-reduces I_d with columns sorted by ascending
     weight; the initial parts of the fully reduced rows span the
-    degree-d slice of the initial ideal.
+    degree-d slice of the initial ideal. The degrees 0, ..., B have
+    sum_d C(N + d - 1, d) = C(N + B, B) columns in N variables, refused
+    with a `ValueError` past `MAX_ORACLE_COLUMNS`.
     """
     if degree_bound < ideal.max_generator_degree():
         raise ValueError("degree bound below the maximum generator degree")
+    count = comb(ideal.nvars + degree_bound, degree_bound)
+    if count > MAX_ORACLE_COLUMNS:
+        bound = f"up to degree {degree_bound}"
+        raise ValueError(f"{count} oracle columns {bound} exceed the cap of {MAX_ORACLE_COLUMNS}")
     gens = []
     for d in range(degree_bound + 1):
         colkey = lambda m: (lam.weight(m), GRLEX.key(m))
@@ -155,8 +166,9 @@ def verify_limit_is_join(
         return JoinCheckReport(
             False, False, None, None, "projection onto P(U) is not dominant"
         )
-    _, y_ideal = coordinate_section(ideal, split.u_vars)
-    join = canonical_generators(join_ideal(y_ideal, split))
+    # the join's ideal: the generators with U set to zero, in the full ring
+    y_gens = [g.substitute_zero(split.u_vars) for g in ideal.generators]
+    join = canonical_generators(HomogeneousIdeal(split.nvars, y_gens))
     stored = [0] * split.nvars
     for i in split.u_vars:
         stored[i] = -a

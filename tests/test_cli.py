@@ -4,10 +4,11 @@ import argparse
 import contextlib
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import comb
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 import flagstab
 from flagstab import (
     GradedOnePS,
+    HomogeneousIdeal,
     Polynomial,
     buchberger,
     check_flag_stability,
@@ -223,6 +225,11 @@ def test_parse_error_text(text, nvars, line, col0, message):
             "flag: n=1 d=4 a0=5 a0=7\n",
             "line 1, column 1: repeated flag parameter 'a0'",
         ),
+        # a ring line's first word is "ring", and each of its names is one
+        # the polynomial parser can read
+        ("ringing: a, b\n", "line 1, column 1: unknown section 'ringing'"),
+        ("ring x y, z\n", "line 1, column 1: malformed variable name 'x y'"),
+        ("ring a, 2b\n", "line 1, column 1: malformed variable name '2b'"),
     ],
 )
 def test_document_error_columns(text, message):
@@ -311,24 +318,15 @@ class TestInputCaps:
         path.write_text(f"flag: n={MAX_VARIABLES - 2} d=40 dimv={MAX_VARIABLES}\n")
         assert run(capsys, "admissible", str(path))[0] == 0
 
-    def test_degree_bound_cap(self, tmp_path, capsys):
-        path = tmp_path / "conic.txt"
-        path.write_text(CONIC_DOC)
-        argv = ("flat-limit", str(path), "--check", "--degree-bound", str(MAX_DEGREE + 1))
-        code, out, err = run(capsys, *argv)
+    def test_oracle_column_cap(self, tmp_path, capsys):
+        # flat-limit --check runs the oracle up to degree 20 in 8 variables
+        path = tmp_path / "octic.txt"
+        ring = ", ".join(f"x{i}" for i in range(8))
+        path.write_text(f"ring {ring}\nideal: x0^20\nweights: {', '.join('1' * 8)}\n")
+        assert run(capsys, "flat-limit", str(path))[0] == 0
+        code, out, err = run(capsys, "flat-limit", str(path), "--check")
         assert (code, out) == (1, "")
-        assert "exceeds the cap" in err
-
-    def test_degree_bound_below_the_generators(self, tmp_path, capsys):
-        """A bound of 0 is checked as any other bound, not replaced by the
-        default: below the conic's degree 2 it is refused, as 1 is."""
-        path = tmp_path / "conic.txt"
-        path.write_text(CONIC_DOC)
-        for bound in ("0", "1"):
-            argv = ("flat-limit", str(path), "--check", "--degree-bound", bound)
-            code, out, err = run(capsys, *argv)
-            assert (code, out) == (1, "")
-            assert "degree bound below the maximum generator degree" in err
+        assert "3108105 oracle columns up to degree 20 exceed the cap of 100000" in err
 
     def test_point_work_cap(self, tmp_path, capsys):
         def points_doc(n: int, k: int) -> str:
@@ -527,8 +525,8 @@ class TestExitCodes:
             (("gb",), "the following arguments are required: FILE"),
             (("gb", "doc.txt", "--bogus"), "unrecognized arguments: --bogus"),
             (
-                ("gb", "doc.txt", "--degree-bound", "abc"),
-                "argument --degree-bound: invalid int value: 'abc'",
+                ("gb", "doc.txt", "--output", "xml"),
+                "argument --output: invalid choice: 'xml' (choose from 'json', 'text')",
             ),
         ],
     )
@@ -551,7 +549,92 @@ class TestExitCodes:
         assert err == "flagstab: error: stage must be between 1 and 1\n"
 
 
-FLAG_HEAD = "ring x, y, v1\nideal: x^2*y + x*y^2 + v1^3\n"
+# limit generators z^3, x^2*z, y^3*z^2, y^6*z, x^2*y^7: degree 9, above
+# the ideal's 3 and above 6
+DEGREE_NINE_DOC = """\
+ring x, y, z
+ideal: y*z^2 - z^3; x^2*z - y^3
+weights: -2, 2, -2
+"""
+
+
+def sweep_documents(seed: int, count: int):
+    """Flat-limit documents of 2-3 forms of degree 2-3, 2-3 terms each,
+    in 3-4 variables, with weights in [-3, 3]."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        names = ["x", "y", "z", "w"][: rng.choice((3, 4))]
+        gens = []
+        for _ in range(rng.choice((2, 3))):
+            monos = combinations_with_replacement(names, rng.choice((2, 3)))
+            terms = rng.sample(["*".join(m) for m in monos], rng.randint(2, 3))
+            gens.append(" + ".join(f"{rng.choice((-3, -2, -1, 1, 2, 3))}*{m}" for m in terms))
+        weights = ", ".join(str(rng.randint(-3, 3)) for _ in names)
+        yield f"ring {', '.join(names)}\nideal: {'; '.join(gens)}\nweights: {weights}\n"
+
+
+class TestFlatLimitCheck:
+    """flat-limit --check: the oracle up to the top generator degree and
+    the Hilbert series of the ideal certify the limit exactly."""
+
+    def test_limit_above_the_ideal_degree(self, tmp_path, capsys):
+        path = tmp_path / "nine.txt"
+        path.write_text(DEGREE_NINE_DOC)
+        plain = run(capsys, "flat-limit", str(path))
+        assert plain[0] == 0
+        assert run(capsys, "flat-limit", str(path), "--check") == plain
+
+    def test_seeded_sweep(self, tmp_path, capsys):
+        path = tmp_path / "sweep.txt"
+        for text in sweep_documents(0, 100):
+            path.write_text(text)
+            plain = run(capsys, "flat-limit", str(path))
+            assert run(capsys, "flat-limit", str(path), "--check") == plain, text
+
+    def test_missing_top_generator(self, tmp_path, capsys, monkeypatch):
+        # without x^2*y^7 the oracle up to degree 7 agrees; the series does not
+        flat_limit = cli.flat_limit
+
+        def drop_top(ideal, lam):
+            gens = flat_limit(ideal, lam).generators
+            assert gens[-1].degree() == 9 > gens[-2].degree()
+            return HomogeneousIdeal(ideal.nvars, gens[:-1])
+
+        monkeypatch.setattr(cli, "flat_limit", drop_top)
+        path = tmp_path / "nine.txt"
+        path.write_text(DEGREE_NINE_DOC)
+        code, out, err = run(capsys, "flat-limit", str(path), "--check")
+        assert (code, out) == (3, "")
+        assert err == (
+            "flagstab: cross-check failed: flat limit's Hilbert series differs from the ideal's\n"
+        )
+
+    def test_perturbed_coefficient(self, tmp_path, capsys, monkeypatch):
+        # equal weights fix the conic, so its limit is x*z - y^2, not x*z - 2*y^2
+        x, y, z = (Polynomial.variable(3, i) for i in range(3))
+        perturbed = HomogeneousIdeal(3, [x * z - 2 * y**2])
+        monkeypatch.setattr(cli, "flat_limit", lambda ideal, lam: perturbed)
+        path = tmp_path / "conic.txt"
+        path.write_text("ring x, y, z\nideal: x*z - y^2\nweights: 1, 1, 1\n")
+        code, out, err = run(capsys, "flat-limit", str(path), "--check")
+        assert (code, out) == (3, "")
+        assert err == (
+            "flagstab: cross-check failed: flat limit disagrees with the degreewise oracle\n"
+        )
+
+    def test_degree_bound_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "nine.txt"
+        path.write_text(DEGREE_NINE_DOC)
+        code, out, err = run(capsys, "flat-limit", str(path), "--check", "--degree-bound", "9")
+        assert (code, out) == (1, "")
+        assert err == "flagstab: error: unrecognized arguments: --degree-bound 9\n"
+
+    def test_options(self):
+        options = {s for action in cli._PARSER._actions for s in action.option_strings}
+        assert options == {"-h", "--help", "--check", "--output"}
+
+
+FLAG_HEAD ="ring x, y, v1\nideal: x^2*y + x*y^2 + v1^3\n"
 
 # (command, document, the sections its error names): every command once,
 # and a `beta:` without `mults:`, which is refused, not read as no grading.

@@ -35,6 +35,7 @@ from flagstab import flags as flags_module
 from flagstab import geometry, groebner
 from flagstab.geometry import (
     MAX_MINORS,
+    MAX_ORACLE_COLUMNS,
     Splitting,
     _jacobian_minors,
     coordinate_section,
@@ -109,6 +110,18 @@ class TestFlatLimitOracle:
         ideal = HomogeneousIdeal(3, [V(3, 0)])
         for w in [(2, -1, -1), (1, 0, -1)]:
             assert ideal_equal(flat_limit_oracle(ideal, OnePS(w), 3), ideal)
+
+    def test_column_cap(self, monkeypatch):
+        # sum over d <= 20 of C(8 + d - 1, d) = C(28, 20) columns, refused
+        # before the first echelon
+        def refuse(*args, **kwargs):
+            raise AssertionError("echelon built")
+
+        monkeypatch.setattr(geometry, "degree_echelon", refuse)
+        ideal = HomogeneousIdeal(8, [V(8, 0) ** 2])
+        message = f"3108105 oracle columns up to degree 20 exceed the cap of {MAX_ORACLE_COLUMNS}"
+        with pytest.raises(ValueError, match=message):
+            flat_limit_oracle(ideal, OnePS((1,) * 8), 20)
 
 
 class TestJoinIdeal:
@@ -187,6 +200,14 @@ class TestVerifyLimitIsJoin:
         split = Splitting(4, (0,), (1, 2, 3))
         report = verify_limit_is_join(twisted_cubic(), split, -3, 1)
         assert report.ok
+
+    def test_order_of_the_w_block(self):
+        # W = (3, 2, 1) names the same block as (1, 2, 3)
+        x0, x1, x2, x3 = (V(4, i) for i in range(4))
+        ideal = HomogeneousIdeal(4, [x1 * x2 - x0 * x3 + x1**2, x2 * x3 + x0**2 - x1**2])
+        sorted_w = verify_limit_is_join(ideal, Splitting(4, (0,), (1, 2, 3)), -1, 2)
+        assert sorted_w.ok
+        assert verify_limit_is_join(ideal, Splitting(4, (0,), (3, 2, 1)), -1, 2) == sorted_w
 
     def test_requires_a_less_than_b(self):
         split = Splitting(3, (0,), (1, 2))
