@@ -11,7 +11,6 @@ from .poly import (
     OnePS,
     Polynomial,
     TermOrder,
-    compare,
     initial_part,
     monomials_of_degree,
     weight_order,
@@ -20,14 +19,11 @@ from .groebner import (
     GroebnerBasis,
     buchberger,
     canonical_generators,
-    contains_oracle,
-    degree_dimension,
     eliminate,
     gb_memo,
     ideal_equal,
     normal_form,
     restrict_to_variables,
-    s_polynomial,
 )
 from .hilbert import (
     HilbertData,
@@ -37,33 +33,24 @@ from .hilbert import (
     PreconditionError,
     StabilityVerdict,
     chow_points_stability,
-    chow_weight_join,
     chow_weight_numeric,
-    chow_weight_single_space,
     hilbert_data,
     hilbert_function,
     hilbert_series,
-    weighted_slice_weight,
 )
 from .geometry import (
     JoinCheckReport,
     Splitting,
-    coordinate_section,
     flat_limit,
     flat_limit_oracle,
     is_nondegenerate,
-    join_ideal,
-    linear_section,
     projection_dominant,
     singular_locus_empty,
-    tangent_space_dim,
     verify_limit_is_join,
 )
 from .parabolic import (
-    BlockProfile,
     GradedOnePS,
     StageData,
-    block_profile,
     configuration_unipotent_stabilizer_dim,
     stage_data,
 )

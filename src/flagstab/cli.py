@@ -108,7 +108,7 @@ class _Tokens:
     def integer(self) -> int:
         self.peek()
         start = self.start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if start == self.pos:
             self.error("expected an integer")
@@ -163,7 +163,7 @@ def parse_polynomial(text: str, names: list[str], line: int = 1, col0: int = 1) 
                 toks.error("expected ')'")
             toks.take()
             return inner
-        if c.isdigit():
+        if c.isdecimal():
             num = toks.integer()
             if toks.peek() == "/":
                 toks.take()

@@ -1,5 +1,5 @@
-"""Flat limits, joins, linear sections, tangent spaces and the smoothness
-and non-degeneracy predicates.
+"""Flat limits, the limit-equals-join check, and the smoothness and
+non-degeneracy predicates.
 
 Weight-vector sign convention: `flat_limit` keeps the terms of minimal
 weight under the stored weights. When a degeneration is specified by
@@ -14,16 +14,14 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .linalg import rank_of_rows
 from .groebner import (
     buchberger,
     canonical_generators,
     degree_columns,
     degree_echelon,
     eliminate,
-    restrict_to_variables,
 )
-from .hilbert import PreconditionError, hilbert_series, normalize_point
+from .hilbert import hilbert_series
 from .poly import (
     GRLEX,
     HomogeneousIdeal,
@@ -97,49 +95,12 @@ def flat_limit_oracle(
     return HomogeneousIdeal(ideal.nvars, gens)
 
 
-def join_ideal(ideal_y: HomogeneousIdeal, split: Splitting) -> HomogeneousIdeal:
-    """Ideal of the join of Y in P(W) with the linear space P(U):
-    the generators of Y, reinterpreted in the full ring."""
-    if ideal_y.nvars != len(split.w_vars):
-        raise ValueError("ideal of Y must live in the W-variables")
-    mapping = {i: v for i, v in enumerate(split.w_vars)}
-    gens = [g.map_variables(mapping, split.nvars) for g in ideal_y.generators]
-    return HomogeneousIdeal(split.nvars, gens)
-
-
 def projection_dominant(ideal: HomogeneousIdeal, split: Splitting) -> bool:
     """True iff the projection away from P(W) onto P(U) is dominant,
     i.e. the ideal meets the U-subring trivially."""
     if ideal.is_zero:
         return True
     return eliminate(ideal, keep=split.u_vars).is_zero
-
-
-def linear_section(ideal: HomogeneousIdeal, forms) -> HomogeneousIdeal:
-    """Cut by linear forms: the ideal generated by I and the forms."""
-    for f in forms:
-        if f.is_zero or f.degree() != 1:
-            raise ValueError("section forms must be nonzero linear forms")
-    return HomogeneousIdeal(ideal.nvars, list(ideal.generators) + list(forms))
-
-
-def coordinate_section(
-    ideal: HomogeneousIdeal, cut_vars
-) -> tuple[HomogeneousIdeal, HomogeneousIdeal]:
-    """Cut by coordinate hyperplanes x_i = 0 for i in cut_vars.
-
-    Returns (full, image): the section ideal in the full ring, and its
-    image in the subring of the remaining variables. For coordinate
-    forms the image is exact, obtained by substituting the cut
-    variables by zero in each generator.
-    """
-    cut = sorted(set(cut_vars))
-    forms = [Polynomial.variable(ideal.nvars, i) for i in cut]
-    substituted = [g.substitute_zero(cut) for g in ideal.generators]
-    full = HomogeneousIdeal(ideal.nvars, substituted + forms)
-    keep = [i for i in range(ideal.nvars) if i not in cut]
-    image = restrict_to_variables(HomogeneousIdeal(ideal.nvars, substituted), keep)
-    return full, image
 
 
 @dataclass(frozen=True)
@@ -177,18 +138,6 @@ def verify_limit_is_join(
     limit = flat_limit(ideal, OnePS(tuple(stored)))
     ok = limit == join  # two reduced graded-lex bases
     return JoinCheckReport(ok, True, limit, join, "" if ok else "limit differs from join")
-
-
-def tangent_space_dim(ideal: HomogeneousIdeal, coords) -> int:
-    """Dimension of the projective tangent space of the scheme at the
-    point with these coordinates, not all zero."""
-    p = normalize_point(coords)
-    if len(p) != ideal.nvars:
-        raise ValueError("point length mismatch")
-    if any(g.evaluate(p) for g in ideal.generators):
-        raise PreconditionError("point does not lie on the subscheme")
-    rows = [{j: g.partial(j).evaluate(p) for j in range(ideal.nvars)} for g in ideal.generators]
-    return (ideal.nvars - 1) - rank_of_rows(rows)
 
 
 # Jacobian minors: C(m, c) * C(nvars, c) for m generators, counted before

@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import gcd
 from operator import add, mul
 
-from .linalg import Echelon, row_from_fractions
+from .linalg import Echelon
 from .poly import (
     GRLEX,
     DimensionError,
@@ -36,21 +36,10 @@ from .poly import (
     Monomial,
     Polynomial,
     TermOrder,
-    monomial_div,
     monomial_lcm,
     monomials_of_degree,
     series_coefficient,
 )
-
-
-def s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder = GRLEX) -> Polynomial:
-    """S-polynomial of f and g with respect to their leading terms."""
-    if f.is_zero or g.is_zero:
-        raise ValueError("S-polynomial of a zero polynomial")
-    (mf, cf), (mg, cg) = f.leading(order), g.leading(order)
-    l = monomial_lcm(mf, mg)
-    lf = Polynomial.from_monomial(monomial_div(l, mf), 1 / cf)
-    return lf * f - Polynomial.from_monomial(monomial_div(l, mg), 1 / cg) * g
 
 
 def normal_form(f: Polynomial, basis, order: TermOrder = GRLEX) -> Polynomial:
@@ -373,11 +362,15 @@ def _interreduce(basis: list[tuple], packing: _Packing) -> list[Polynomial]:
             for j, mh in enumerate(heads)
         )
     ]
-    kept.sort(key=lambda i: basis[i][0])  # reducing keeps each lead
-    kept = [basis[i] for i in kept]
+    kept.sort(key=lambda i: basis[i][0])
+    reduced: list[tuple] = []  # the elements before this one, as divisors
     out = []
-    for i, (mg, cg, tail) in enumerate(kept):
-        r, _ = _divide(dict([(mg, cg), *tail]), kept[:i] + kept[i + 1 :], mask)
+    for mg, cg, tail in (basis[i] for i in kept):
+        # a tail term lies below mg, and under a graded order only a lead
+        # below a term divides it: the reduced elements hold all such leads
+        r, scale = _divide(dict(tail), reduced, mask)
+        r = {mg: cg * scale, **r}
+        reduced.append(_divisor(r))
         out.append(packing.polynomial(r, 1, r[mg]))
     return out
 
@@ -452,21 +445,3 @@ def degree_echelon(
         for m in monomials_of_degree(ideal.nvars, d - e):
             ech.insert({columns[tuple(map(add, m, t))]: c for t, c in terms})
     return columns, ech
-
-
-def contains_oracle(ideal: HomogeneousIdeal, f: Polynomial) -> bool:
-    """Degreewise linear-algebra ideal membership for homogeneous f."""
-    if f.is_zero:
-        return True
-    if not f.is_homogeneous:
-        raise ValueError("membership oracle requires homogeneous input")
-    if f.nvars != ideal.nvars:
-        raise ValueError("membership test in a different ring")
-    columns, ech = degree_echelon(ideal, f.degree())
-    return ech.contains(row_from_fractions(poly_to_row(f, columns)))
-
-
-def degree_dimension(ideal: HomogeneousIdeal, d: int) -> int:
-    """dim of the vector space I_d."""
-    _, ech = degree_echelon(ideal, d)
-    return ech.rank

@@ -1,5 +1,5 @@
-"""Hilbert functions and polynomials, weighted slice weights, Chow-weight
-extraction and Chow stability of point configurations.
+"""Hilbert functions and polynomials, Chow-weight extraction and Chow
+stability of point configurations.
 
 Hilbert data comes from one exact kernel: the Hilbert series
 HS(S/I) = N(t)/(1-t)^nvars of the initial monomial ideal of the reduced
@@ -31,9 +31,7 @@ from .poly import (
     Monomial,
     OnePS,
     monomial_divides,
-    monomials_of_degree,
     series_coefficient,
-    weight_order,
 )
 
 
@@ -221,25 +219,7 @@ def hilbert_data(ideal: HomogeneousIdeal) -> HilbertData:
     return HilbertData(hf, coeffs, stab, series.dimension, series.degree)
 
 
-# -- weighted slice weights and Chow weights ---------------------------
-
-
-def weighted_slice_weight(ideal: HomogeneousIdeal, lam: OnePS, m: int) -> int:
-    """Weight of the degree-m slice of the coordinate ring.
-
-    The basis is the set of standard monomials; coordinate functions
-    dual to weight-r basis vectors carry weight -r, whence the sign.
-    """
-    if len(lam) != ideal.nvars:
-        raise ValueError("weight vector length mismatch")
-    if m < 0:
-        raise ValueError("degree must be nonnegative")
-    leads = buchberger(ideal, weight_order(lam)).leading_monomials()
-    total = 0
-    for mono in monomials_of_degree(ideal.nvars, m):
-        if not any(monomial_divides(l, mono) for l in leads):
-            total += lam.weight(mono)
-    return -total
+# -- Chow weights ------------------------------------------------------
 
 
 def chow_weight_numeric(ideal: HomogeneousIdeal, lam: OnePS) -> Fraction:
@@ -302,36 +282,6 @@ def chow_weight_numeric(ideal: HomogeneousIdeal, lam: OnePS) -> Fraction:
     # the pole order is at most n+2, and below it the weight is 0
     q, d = _cancel(total, ideal.nvars + len(factors))
     return Fraction(sum(q)) if d == n + 2 else Fraction(0)
-
-
-def chow_weight_single_space(b: int, d: int, r: int) -> int:
-    """Chow weight of an r-dimensional degree-d subvariety lying in the
-    weight-b summand of a two-weight splitting: b*d*(r+1)."""
-    if b == 0:
-        raise PreconditionError("weight b must be nonzero")
-    if d <= 0:
-        raise PreconditionError("degree must be positive")
-    if r < 0:
-        raise PreconditionError("dimension must be nonnegative")
-    return b * d * (r + 1)
-
-
-def chow_weight_join(a: int, b: int, d: int, dim_y: int, dim_pu: int) -> int:
-    """Closed-form Chow weight of the join of Y (dim_y, degree d, in the
-    weight-b summand) with the linear space P(U) (dim_pu, weight a)."""
-    if a == 0 or b == 0:
-        raise PreconditionError("weights a, b must be nonzero")
-    if d <= 0:
-        raise PreconditionError("degree must be positive")
-    if dim_y < 0 or dim_pu < 0:
-        raise PreconditionError("dimensions must be nonnegative")
-    if dim_y < dim_pu:
-        return a * (dim_pu + 1)
-    if dim_y > dim_pu:
-        return b * d * (dim_y + 1)
-    if a + b * d == 0:
-        raise PreconditionError("equal-dimension case requires a + b*d != 0")
-    return (a + b * d) * (dim_y + 1)
 
 
 # -- Chow stability of point configurations ---------------------------

@@ -105,25 +105,3 @@ def rank_of_rows(rows: list[dict[int, Fraction]] | list[Row]) -> int:
     for row in rows:
         ech.insert(row_from_fractions({c: Fraction(v) for c, v in row.items()}))
     return ech.rank
-
-
-def determinant(matrix: list[list[Fraction]]) -> Fraction:
-    """Exact determinant by fraction Gaussian elimination."""
-    n = len(matrix)
-    m = [[Fraction(v) for v in row] for row in matrix]
-    det = Fraction(1)
-    for j in range(n):
-        piv = next((i for i in range(j, n) if m[i][j] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != j:
-            m[j], m[piv] = m[piv], m[j]
-            det = -det
-        det *= m[j][j]
-        inv = m[j][j]
-        for i in range(j + 1, n):
-            if m[i][j] != 0:
-                f = m[i][j] / inv
-                for k in range(j, n):
-                    m[i][k] -= f * m[j][k]
-    return det

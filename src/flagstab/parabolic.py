@@ -1,7 +1,6 @@
-"""Block bookkeeping for graded one-parameter subgroups of SL(V):
-the parabolic P and its subgroups as block patterns, the staged
-two-weight 1PS data, and infinitesimal unipotent stabilizers of ideals,
-read off normal forms against their reduced graded-lex bases.
+"""Block bookkeeping for graded one-parameter subgroups of SL(V): the
+staged two-weight 1PS data, and infinitesimal unipotent stabilizers of
+ideals, read off normal forms against their reduced graded-lex bases.
 
 Weights of a `GradedOnePS` are weights on basis *vectors*; block 1
 carries the largest weight. Staged weight averages are exact rationals,
@@ -15,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .linalg import Echelon, determinant
+from .linalg import Echelon
 from .groebner import buchberger, normal_forms
 from .poly import GRLEX, OnePS, Polynomial
 
@@ -46,13 +45,6 @@ class GradedOnePS:
     @property
     def size(self) -> int:
         return sum(self.multiplicities)
-
-    def block_starts(self) -> list[int]:
-        starts, acc = [], 0
-        for m in self.multiplicities:
-            starts.append(acc)
-            acc += m
-        return starts
 
     def block_of(self, index: int) -> int:
         acc = 0
@@ -120,79 +112,6 @@ def stage_data(g: GradedOnePS, i: int) -> StageData:
     return StageData(
         i, beta_le, beta_gt, m_le, m_gt, scale, OnePS(tuple(bracket)), OnePS(tuple(paren))
     )
-
-
-@dataclass(frozen=True)
-class BlockProfile:
-    """Membership of a matrix in the block-pattern subgroups of SL(V)."""
-
-    in_p: bool
-    in_l: bool
-    in_t: bool
-    in_r: bool
-    in_u: bool
-    in_u_bracket: dict[int, bool]
-    in_u_paren: dict[int, bool]
-
-
-def block_profile(matrix, g: GradedOnePS) -> BlockProfile:
-    """Classify a square rational matrix against the parabolic block patterns."""
-    n = g.size
-    m = [[Fraction(v) for v in row] for row in matrix]
-    if len(m) != n or any(len(row) != n for row in m):
-        raise ValueError(f"matrix must be {n} x {n}")
-    blk = [g.block_of(k) for k in range(n)]
-    det1 = determinant(m) == 1
-
-    def zero_block(pred) -> bool:
-        return all(
-            m[r][c] == 0 for r in range(n) for c in range(n) if pred(blk[r], blk[c])
-        )
-
-    def diag_identity() -> bool:
-        return all(
-            m[r][c] == (1 if r == c else 0)
-            for r in range(n)
-            for c in range(n)
-            if blk[r] == blk[c]
-        )
-
-    block_upper = zero_block(lambda p, q: p > q)
-    block_diag = zero_block(lambda p, q: p != q)
-    in_p = block_upper and det1
-    in_l = block_diag and det1
-    in_u = block_upper and diag_identity()
-
-    in_t = in_l
-    if in_t:
-        starts = g.block_starts()
-        for b, (s, mult) in enumerate(zip(starts, g.multiplicities)):
-            t = m[s][s]
-            if any(
-                m[s + r][s + c] != (t if r == c else 0)
-                for r in range(mult)
-                for c in range(mult)
-            ):
-                in_t = False
-                break
-
-    in_r = block_diag
-    if in_r:
-        starts = g.block_starts()
-        for s, mult in zip(starts, g.multiplicities):
-            sub = [[m[s + r][s + c] for c in range(mult)] for r in range(mult)]
-            if determinant(sub) != 1:
-                in_r = False
-                break
-
-    in_u_bracket = {}
-    in_u_paren = {}
-    for i in range(1, g.ell):
-        in_u_bracket[i] = in_u and zero_block(
-            lambda p, q, i=i: p < q and not (p < i <= q)
-        )
-        in_u_paren[i] = in_u and zero_block(lambda p, q, i=i: p < q and p >= i)
-    return BlockProfile(in_p, in_l, in_t, in_r, in_u, in_u_bracket, in_u_paren)
 
 
 def _bracket_entries(g: GradedOnePS, j: int) -> list[tuple[int, int]]:

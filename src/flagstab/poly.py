@@ -32,11 +32,6 @@ def monomial_divides(a: Monomial, b: Monomial) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def monomial_div(a: Monomial, b: Monomial) -> Monomial:
-    """Exponent-wise a - b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(max(x, y) for x, y in zip(a, b))
 
@@ -126,14 +121,6 @@ GRLEX = TermOrder()
 
 def weight_order(lam: OnePS) -> TermOrder:
     return TermOrder(weights=lam.weights)
-
-
-def compare(a: Monomial, b: Monomial, order: TermOrder = GRLEX) -> int:
-    """-1, 0 or 1 as a is below, equal to or above b in the order."""
-    if len(a) != len(b):
-        raise DimensionError("monomials of different length")
-    ka, kb = order.key(a), order.key(b)
-    return (ka > kb) - (ka < kb)
 
 
 class Polynomial:

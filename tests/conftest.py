@@ -12,9 +12,25 @@ import sys
 import pytest
 from hypothesis import strategies as st
 
-from flagstab import HomogeneousIdeal, OnePS, Polynomial, monomials_of_degree
-from flagstab.hilbert import PointConfiguration
+from flagstab import (
+    GRLEX,
+    DimensionError,
+    HomogeneousIdeal,
+    Monomial,
+    OnePS,
+    Polynomial,
+    PreconditionError,
+    TermOrder,
+    buchberger,
+    monomials_of_degree,
+    weight_order,
+)
 from flagstab.flags import HyperplanarFlag
+from flagstab.geometry import Splitting
+from flagstab.groebner import degree_echelon, poly_to_row
+from flagstab.hilbert import PointConfiguration
+from flagstab.linalg import row_from_fractions
+from flagstab.poly import monomial_divides, monomial_lcm
 
 
 def V(nvars: int, i: int) -> Polynomial:
@@ -32,6 +48,112 @@ def poly(nvars: int, *terms) -> Polynomial:
 def twisted_cubic() -> HomogeneousIdeal:
     x, y, z, w = (V(4, i) for i in range(4))
     return HomogeneousIdeal(4, [x * z - y * y, y * w - z * z, x * w - y * z])
+
+
+
+# -- test-only oracles and closed forms --------------------------------
+#
+# Nothing in the library calls these; the tests check the library against
+# them.
+
+
+def monomial_div(a: Monomial, b: Monomial) -> Monomial:
+    """Exponent-wise a - b; caller guarantees divisibility."""
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def compare(a: Monomial, b: Monomial, order: TermOrder = GRLEX) -> int:
+    """-1, 0 or 1 as a is below, equal to or above b in the order."""
+    if len(a) != len(b):
+        raise DimensionError("monomials of different length")
+    ka, kb = order.key(a), order.key(b)
+    return (ka > kb) - (ka < kb)
+
+
+def s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder = GRLEX) -> Polynomial:
+    """S-polynomial of f and g with respect to their leading terms."""
+    if f.is_zero or g.is_zero:
+        raise ValueError("S-polynomial of a zero polynomial")
+    (mf, cf), (mg, cg) = f.leading(order), g.leading(order)
+    l = monomial_lcm(mf, mg)
+    lf = Polynomial.from_monomial(monomial_div(l, mf), 1 / cf)
+    return lf * f - Polynomial.from_monomial(monomial_div(l, mg), 1 / cg) * g
+
+
+def contains_oracle(ideal: HomogeneousIdeal, f: Polynomial) -> bool:
+    """Degreewise linear-algebra ideal membership for homogeneous f."""
+    if f.is_zero:
+        return True
+    if not f.is_homogeneous:
+        raise ValueError("membership oracle requires homogeneous input")
+    if f.nvars != ideal.nvars:
+        raise ValueError("membership test in a different ring")
+    columns, ech = degree_echelon(ideal, f.degree())
+    return ech.contains(row_from_fractions(poly_to_row(f, columns)))
+
+
+def degree_dimension(ideal: HomogeneousIdeal, d: int) -> int:
+    """dim of the vector space I_d."""
+    _, ech = degree_echelon(ideal, d)
+    return ech.rank
+
+
+def weighted_slice_weight(ideal: HomogeneousIdeal, lam: OnePS, m: int) -> int:
+    """Weight of the degree-m slice of the coordinate ring.
+
+    The basis is the set of standard monomials; coordinate functions
+    dual to weight-r basis vectors carry weight -r, whence the sign.
+    """
+    if len(lam) != ideal.nvars:
+        raise ValueError("weight vector length mismatch")
+    if m < 0:
+        raise ValueError("degree must be nonnegative")
+    leads = buchberger(ideal, weight_order(lam)).leading_monomials()
+    total = 0
+    for mono in monomials_of_degree(ideal.nvars, m):
+        if not any(monomial_divides(l, mono) for l in leads):
+            total += lam.weight(mono)
+    return -total
+
+
+def chow_weight_single_space(b: int, d: int, r: int) -> int:
+    """Chow weight of an r-dimensional degree-d subvariety lying in the
+    weight-b summand of a two-weight splitting: b*d*(r+1)."""
+    if b == 0:
+        raise PreconditionError("weight b must be nonzero")
+    if d <= 0:
+        raise PreconditionError("degree must be positive")
+    if r < 0:
+        raise PreconditionError("dimension must be nonnegative")
+    return b * d * (r + 1)
+
+
+def chow_weight_join(a: int, b: int, d: int, dim_y: int, dim_pu: int) -> int:
+    """Closed-form Chow weight of the join of Y (dim_y, degree d, in the
+    weight-b summand) with the linear space P(U) (dim_pu, weight a)."""
+    if a == 0 or b == 0:
+        raise PreconditionError("weights a, b must be nonzero")
+    if d <= 0:
+        raise PreconditionError("degree must be positive")
+    if dim_y < 0 or dim_pu < 0:
+        raise PreconditionError("dimensions must be nonnegative")
+    if dim_y < dim_pu:
+        return a * (dim_pu + 1)
+    if dim_y > dim_pu:
+        return b * d * (dim_y + 1)
+    if a + b * d == 0:
+        raise PreconditionError("equal-dimension case requires a + b*d != 0")
+    return (a + b * d) * (dim_y + 1)
+
+
+def join_ideal(ideal_y: HomogeneousIdeal, split: Splitting) -> HomogeneousIdeal:
+    """Ideal of the join of Y in P(W) with the linear space P(U):
+    the generators of Y, reinterpreted in the full ring."""
+    if ideal_y.nvars != len(split.w_vars):
+        raise ValueError("ideal of Y must live in the W-variables")
+    mapping = {i: v for i, v in enumerate(split.w_vars)}
+    gens = [g.map_variables(mapping, split.nvars) for g in ideal_y.generators]
+    return HomogeneousIdeal(split.nvars, gens)
 
 
 CORPUS_WEIGHTS = {

@@ -20,20 +20,14 @@ from flagstab import (
     Polynomial,
     buchberger,
     chow_points_stability,
-    chow_weight_join,
     chow_weight_numeric,
-    chow_weight_single_space,
-    contains_oracle,
-    degree_dimension,
     flag_limit,
     flat_limit,
     flat_limit_oracle,
     hilbert_function,
-    join_ideal,
     monomials_of_degree,
     normal_form,
     nrgit_stage_check,
-    s_polynomial,
     verify_limit_is_join,
 )
 from flagstab.cli import main
@@ -44,8 +38,14 @@ from conftest import (
     CUBIC_ROOTS,
     QUARTIC_ROOTS,
     V,
+    chow_weight_join,
+    chow_weight_single_space,
+    contains_oracle,
     corpus_pairs,
+    degree_dimension,
+    join_ideal,
     make_curve_flag,
+    s_polynomial,
     twisted_cubic,
 )
 

@@ -196,6 +196,9 @@ PARSE_ERRORS = [
     ("3/x", 2, 1, 1, "line 1, column 3: expected an integer"),
     ("", 2, 1, 1, "line 1, column 1: expected a number, variable or '('"),
     ("2 x", 2, 1, 1, "line 1, column 3: unexpected character 'x'"),
+    # a digit `int` does not read is not an integer
+    ("x^²", 2, 1, 1, "line 1, column 3: expected an integer"),
+    ("²*x", 2, 1, 1, "line 1, column 1: expected a number, variable or '('"),
 ]
 
 

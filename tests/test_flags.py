@@ -1,6 +1,7 @@
 """Hyperplanar flags: admissibility, validation, limits, stage weights
 and the per-stage stability checks."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from flagstab import (
     GradedOnePS,
     HomogeneousIdeal,
     HyperplanarFlag,
+    Polynomial,
     check_flag_stability,
     degree_admissible,
     flag_limit,
@@ -242,6 +244,93 @@ class TestCheckFlagStability:
         flag = HyperplanarFlag(1, 3, HomogeneousIdeal(3, [x * x * y + x * y * y + v1 ** 3]))
         report = check_flag_stability(flag, G, 5)
         assert report.verdict == "inconclusive"
+
+
+
+# -- the stage pipeline under a change of coordinates that keeps the flag
+
+
+def _solve(a: list[list[int]], b) -> list[Fraction] | None:
+    """The p with a p = b over Q, by Gauss-Jordan elimination; None when
+    a is singular."""
+    n = len(a)
+    m = [[Fraction(v) for v in row] + [Fraction(c)] for row, c in zip(a, b)]
+    for j in range(n):
+        p = next((i for i in range(j, n) if m[i][j]), None)
+        if p is None:
+            return None
+        m[j], m[p] = m[p], m[j]
+        m[j] = [v / m[j][j] for v in m[j]]
+        for i in range(n):
+            if i != j:
+                m[i] = [u - m[i][j] * v for u, v in zip(m[i], m[j])]
+    return [row[n] for row in m]
+
+
+def _substitute(f: Polynomial, images: list[Polynomial]) -> Polynomial:
+    """f with each variable replaced by its image."""
+    out = Polynomial.zero(f.nvars)
+    for m, c in f.terms.items():
+        term = Polynomial.constant(f.nvars, c)
+        for image, e in zip(images, m):
+            term = term * image**e
+        out = out + term
+    return out
+
+
+def _moved_flag(flag: HyperplanarFlag, rng: random.Random) -> HyperplanarFlag:
+    """The flag under a seeded linear change of coordinates that keeps
+    every stratum's coordinate subspace: each x_i goes to a linear form in
+    all the variables, with an invertible W block, and each v_k to a form
+    in v_k, ..., v_n with a nonzero v_k coefficient. The points of X^0
+    move by the inverse of the W block."""
+    nv, w = flag.dim_v, flag.dim_w
+    small = (-2, -1, 0, 1, 2)
+    while True:
+        rows = [[rng.choice(small) for _ in range(nv)] for _ in range(w)]
+        block = [row[:w] for row in rows]
+        if _solve(block, [0] * w) is not None:
+            break
+    for k in range(w, nv):
+        tail = [rng.choice(small) for _ in range(k + 1, nv)]
+        rows.append([0] * k + [rng.choice((-2, -1, 1, 2))] + tail)
+    images = [sum((c * V(nv, j) for j, c in enumerate(row)), Polynomial.zero(nv)) for row in rows]
+    top = HomogeneousIdeal(nv, [_substitute(g, images) for g in flag.top_ideal.generators])
+    points = None
+    if flag.points0 is not None:
+        points = PointConfiguration.from_coords([_solve(block, p) for p in flag.points0.points])
+    return HyperplanarFlag(flag.n, nv, top, points)
+
+
+def _metamorphic_cases() -> list:
+    """(flag, grading, a0, number of coordinate changes): the golden plane
+    cubic, a quartic surface flag and an n = 3 cubic threefold flag."""
+    cubic = make_curve_flag(CUBIC_ROOTS[0])  # x^2*y + x*y^2 + v1^3
+    x, y, v1, v2 = (V(4, i) for i in range(4))
+    surface = HyperplanarFlag(
+        2, 4, HomogeneousIdeal(4, [x * y * (x - y) * (x - 2 * y) + v1**4 - 2 * v2**4]),
+        PointConfiguration.from_coords([(1, 0), (0, 1), (1, 1), (1, 2)]),
+    )
+    x0, x1, v1, v2, v3 = (V(5, i) for i in range(5))
+    threefold = HyperplanarFlag(
+        3, 5, HomogeneousIdeal(5, [x0**3 + x1**3 + v1**3 + v2**3 + v3**3 + x0 * v1 * v3])
+    )
+    return [
+        pytest.param(cubic, G, 5, 30, id="cubic-n1"),
+        pytest.param(surface, GradedOnePS((3, -2, -4), (2, 1, 1)), 5, 8, id="quartic-n2"),
+        pytest.param(threefold, None, None, 8, id="cubic-n3"),
+    ]
+
+
+@pytest.mark.parametrize("flag, g, a0, count", _metamorphic_cases())
+def test_stage_checks_keep_under_flag_coordinate_changes(flag, g, a0, count):
+    """Verdict, stage weights, stabilizer dimensions, point verdicts and
+    sweep flags do not depend on the coordinates the flag is written in."""
+    base = check_flag_stability(flag, g, a0, check=True)
+    rng = random.Random(20261020 + flag.n)
+    for _ in range(count):
+        moved = _moved_flag(flag, rng)
+        assert check_flag_stability(moved, g, a0, check=True) == base, moved.top_ideal
 
 
 def test_standard_grading(cubic_flag):

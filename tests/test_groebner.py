@@ -15,21 +15,18 @@ from flagstab import (
     Polynomial,
     TermOrder,
     buchberger,
-    contains_oracle,
-    degree_dimension,
     eliminate,
     hilbert_series,
     ideal_equal,
     monomials_of_degree,
     normal_form,
-    s_polynomial,
     weight_order,
 )
 from flagstab import groebner
 from flagstab.groebner import _Packing, restrict_to_variables
 from flagstab.poly import monomial_divides
 
-from conftest import V, twisted_cubic
+from conftest import V, contains_oracle, degree_dimension, s_polynomial, twisted_cubic
 
 
 class TestSPolynomial:

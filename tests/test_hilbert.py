@@ -13,15 +13,12 @@ from flagstab import (
     OnePS,
     Polynomial,
     chow_points_stability,
-    chow_weight_join,
     chow_weight_numeric,
-    chow_weight_single_space,
     flat_limit,
     hilbert_data,
     hilbert_function,
     hilbert_series,
     ideal_equal,
-    weighted_slice_weight,
 )
 from flagstab.hilbert import (
     PointConfiguration,
@@ -32,7 +29,15 @@ from flagstab.hilbert import (
 from flagstab.linalg import Echelon, row_from_fractions
 from flagstab.poly import series_coefficient
 
-from conftest import V, corpus_ideals, small_ideals_with_weights, twisted_cubic
+from conftest import (
+    V,
+    chow_weight_join,
+    chow_weight_single_space,
+    corpus_ideals,
+    small_ideals_with_weights,
+    twisted_cubic,
+    weighted_slice_weight,
+)
 
 
 CONIC = HomogeneousIdeal(3, [V(3, 0) * V(3, 2) - V(3, 1) ** 2])

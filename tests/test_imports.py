@@ -1,6 +1,8 @@
-"""The modules of flagstab import one another without a cycle."""
+"""The modules of flagstab import one another without a cycle, and every
+name the benchmark harness binds resolves."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import flagstab
@@ -85,3 +87,70 @@ def test_no_unused_imports():
 def test_no_import_cycle():
     cycle = find_cycle(relative_imports())
     assert cycle is None, " -> ".join(cycle)
+
+
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+HANDLES = {"fs": "flagstab", "cli": "flagstab.cli"}  # the harness's names for the two modules
+
+
+def _handle(node: ast.expr) -> str | None:
+    """The flagstab module an expression such as `fs`, `self.cli` or
+    `mods["flagstab.poly"]` stands for in the harness, or None."""
+    if isinstance(node, ast.Name):
+        return HANDLES.get(node.id)
+    if isinstance(node, ast.Attribute):
+        return HANDLES.get(node.attr)
+    if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant):
+        key = node.slice.value
+        return key if isinstance(key, str) and key.startswith("flagstab") else None
+    return None
+
+
+def benchmark_names() -> set[str]:
+    """Dotted paths of everything the benchmark harness reads from flagstab:
+    the functions `tracing.WRAPPED` wraps, what its files import from
+    flagstab modules, and the attributes they read off a flagstab module."""
+    names = set()
+    for path in BENCH.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "WRAPPED" for t in node.targets
+            ):
+                wrapped = ast.literal_eval(node.value)
+                names.update(f"flagstab.{m}.{fn}" for m, fns in wrapped.items() for fn in fns)
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("flagstab"):
+                names.update(f"{node.module}.{a.name}" for a in node.names)
+            elif isinstance(node, ast.Attribute) and _handle(node.value):
+                names.add(f"{_handle(node.value)}.{node.attr}")
+    return names
+
+
+def resolve(dotted: str):
+    """The object at a dotted path, importing modules along the way."""
+    parts = dotted.split(".")
+    obj = importlib.import_module(parts[0])
+    for i in range(1, len(parts)):
+        try:
+            obj = getattr(obj, parts[i])
+        except AttributeError:  # a submodule not imported yet
+            obj = importlib.import_module(".".join(parts[: i + 1]))
+    return obj
+
+
+def test_benchmark_names_resolve():
+    names = benchmark_names()
+    # the reader finds each kind of binding
+    assert {
+        "flagstab.linalg.rank_of_rows",  # WRAPPED
+        "flagstab.groebner.poly_to_row",  # imported by checks.py
+        "flagstab.flat_limit_oracle",  # read off `fs`
+        "flagstab.cli.parse_document",  # read off `cli`
+        "flagstab.poly.GRLEX",  # read off mods["flagstab.poly"]
+    } <= names
+    missing = []
+    for name in sorted(names):
+        try:
+            resolve(name)
+        except (ImportError, AttributeError):
+            missing.append(name)
+    assert not missing, missing

@@ -15,7 +15,6 @@ from flagstab import (
     OnePS,
     Polynomial,
     buchberger,
-    compare,
     gb_memo,
     initial_part,
     monomials_of_degree,
@@ -23,7 +22,7 @@ from flagstab import (
 )
 from flagstab import groebner
 
-from conftest import V
+from conftest import V, compare
 
 
 W211 = OnePS((2, -1, -1))
