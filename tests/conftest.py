@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import random
 import sys
+from dataclasses import dataclass
+from fractions import Fraction
 
 import pytest
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 from flagstab import (
     GRLEX,
     DimensionError,
+    GradedOnePS,
     HomogeneousIdeal,
     Monomial,
     OnePS,
@@ -27,9 +30,9 @@ from flagstab import (
 )
 from flagstab.flags import HyperplanarFlag
 from flagstab.geometry import Splitting
-from flagstab.groebner import degree_echelon, poly_to_row
-from flagstab.hilbert import PointConfiguration
-from flagstab.linalg import row_from_fractions
+from flagstab.groebner import degree_echelon, poly_to_row, restrict_to_variables
+from flagstab.hilbert import PointConfiguration, normalize_point
+from flagstab.linalg import rank_of_rows, row_from_fractions
 from flagstab.poly import monomial_divides, monomial_lcm
 
 
@@ -154,6 +157,140 @@ def join_ideal(ideal_y: HomogeneousIdeal, split: Splitting) -> HomogeneousIdeal:
     mapping = {i: v for i, v in enumerate(split.w_vars)}
     gens = [g.map_variables(mapping, split.nvars) for g in ideal_y.generators]
     return HomogeneousIdeal(split.nvars, gens)
+
+
+def linear_section(ideal: HomogeneousIdeal, forms) -> HomogeneousIdeal:
+    """Cut by linear forms: the ideal generated by I and the forms."""
+    for f in forms:
+        if f.is_zero or f.degree() != 1:
+            raise ValueError("section forms must be nonzero linear forms")
+    return HomogeneousIdeal(ideal.nvars, list(ideal.generators) + list(forms))
+
+
+def coordinate_section(
+    ideal: HomogeneousIdeal, cut_vars
+) -> tuple[HomogeneousIdeal, HomogeneousIdeal]:
+    """Cut by coordinate hyperplanes x_i = 0 for i in cut_vars.
+
+    Returns (full, image): the section ideal in the full ring, and its
+    image in the subring of the remaining variables. For coordinate
+    forms the image is exact, obtained by substituting the cut
+    variables by zero in each generator.
+    """
+    cut = sorted(set(cut_vars))
+    forms = [Polynomial.variable(ideal.nvars, i) for i in cut]
+    substituted = [g.substitute_zero(cut) for g in ideal.generators]
+    full = HomogeneousIdeal(ideal.nvars, substituted + forms)
+    keep = [i for i in range(ideal.nvars) if i not in cut]
+    image = restrict_to_variables(HomogeneousIdeal(ideal.nvars, substituted), keep)
+    return full, image
+
+
+def tangent_space_dim(ideal: HomogeneousIdeal, coords) -> int:
+    """Dimension of the projective tangent space of the scheme at the
+    point with these coordinates, not all zero."""
+    p = normalize_point(coords)
+    if len(p) != ideal.nvars:
+        raise ValueError("point length mismatch")
+    if any(g.evaluate(p) for g in ideal.generators):
+        raise PreconditionError("point does not lie on the subscheme")
+    rows = [{j: g.partial(j).evaluate(p) for j in range(ideal.nvars)} for g in ideal.generators]
+    return (ideal.nvars - 1) - rank_of_rows(rows)
+
+
+def determinant(matrix: list[list[Fraction]]) -> Fraction:
+    """Exact determinant by fraction Gaussian elimination."""
+    n = len(matrix)
+    m = [[Fraction(v) for v in row] for row in matrix]
+    det = Fraction(1)
+    for j in range(n):
+        piv = next((i for i in range(j, n) if m[i][j] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != j:
+            m[j], m[piv] = m[piv], m[j]
+            det = -det
+        det *= m[j][j]
+        inv = m[j][j]
+        for i in range(j + 1, n):
+            if m[i][j] != 0:
+                f = m[i][j] / inv
+                for k in range(j, n):
+                    m[i][k] -= f * m[j][k]
+    return det
+
+
+@dataclass(frozen=True)
+class BlockProfile:
+    """Membership of a matrix in the block-pattern subgroups of SL(V)."""
+
+    in_p: bool
+    in_l: bool
+    in_t: bool
+    in_r: bool
+    in_u: bool
+    in_u_bracket: dict[int, bool]
+    in_u_paren: dict[int, bool]
+
+
+def block_profile(matrix, g: GradedOnePS) -> BlockProfile:
+    """Classify a square rational matrix against the parabolic block patterns."""
+    n = g.size
+    m = [[Fraction(v) for v in row] for row in matrix]
+    if len(m) != n or any(len(row) != n for row in m):
+        raise ValueError(f"matrix must be {n} x {n}")
+    blk = [g.block_of(k) for k in range(n)]
+    det1 = determinant(m) == 1
+
+    def zero_block(pred) -> bool:
+        return all(
+            m[r][c] == 0 for r in range(n) for c in range(n) if pred(blk[r], blk[c])
+        )
+
+    def diag_identity() -> bool:
+        return all(
+            m[r][c] == (1 if r == c else 0)
+            for r in range(n)
+            for c in range(n)
+            if blk[r] == blk[c]
+        )
+
+    block_upper = zero_block(lambda p, q: p > q)
+    block_diag = zero_block(lambda p, q: p != q)
+    in_p = block_upper and det1
+    in_l = block_diag and det1
+    in_u = block_upper and diag_identity()
+
+    starts = [sum(g.multiplicities[:b]) for b in range(g.ell)]
+
+    in_t = in_l
+    if in_t:
+        for s, mult in zip(starts, g.multiplicities):
+            t = m[s][s]
+            if any(
+                m[s + r][s + c] != (t if r == c else 0)
+                for r in range(mult)
+                for c in range(mult)
+            ):
+                in_t = False
+                break
+
+    in_r = block_diag
+    if in_r:
+        for s, mult in zip(starts, g.multiplicities):
+            sub = [[m[s + r][s + c] for c in range(mult)] for r in range(mult)]
+            if determinant(sub) != 1:
+                in_r = False
+                break
+
+    in_u_bracket = {}
+    in_u_paren = {}
+    for i in range(1, g.ell):
+        in_u_bracket[i] = in_u and zero_block(
+            lambda p, q, i=i: p < q and not (p < i <= q)
+        )
+        in_u_paren[i] = in_u and zero_block(lambda p, q, i=i: p < q and p >= i)
+    return BlockProfile(in_p, in_l, in_t, in_r, in_u, in_u_bracket, in_u_paren)
 
 
 CORPUS_WEIGHTS = {

@@ -40,12 +40,15 @@ from flagstab.cli import parse_document
 
 from conftest import (
     V,
+    coordinate_section,
     corpus_ideals,
     corpus_pairs,
     degree_dimension,
     flag_corpus,
     join_ideal,
+    linear_section,
     small_ideals_with_weights,
+    tangent_space_dim,
     twisted_cubic,
 )
 
@@ -211,6 +214,48 @@ class TestVerifyLimitIsJoin:
         report = verify_limit_is_join(HomogeneousIdeal(3, [V(3, 1) * V(3, 2)]), split, 1, -1)
         assert not report.ok
         assert "a < b" in report.reason
+
+
+class TestSections:
+    def test_conic_cut_by_coordinate(self):
+        conic = HomogeneousIdeal(3, [V(3, 0) * V(3, 2) - V(3, 1) ** 2])
+        full, image = coordinate_section(conic, [2])
+        assert ideal_equal(full, linear_section(conic, [V(3, 2)]))
+        assert image == HomogeneousIdeal(2, [V(2, 1) ** 2])
+
+    def test_cut_by_no_forms(self):
+        assert linear_section(CONIC, []) == CONIC
+
+    def test_zero_ideal_cut_by_coordinate(self):
+        out = linear_section(HomogeneousIdeal(3, []), [V(3, 2)])
+        assert out == HomogeneousIdeal(3, [V(3, 2)])
+
+    def test_rejects_nonlinear_form(self):
+        with pytest.raises(ValueError):
+            linear_section(CONIC, [V(3, 0) ** 2])
+
+
+class TestTangentSpace:
+    def test_cone_vertex(self):
+        # quadric cone in P^3; the vertex sees the whole ambient space
+        x, y1, y2, y3 = (V(4, i) for i in range(4))
+        cone = HomogeneousIdeal(4, [y1 * y3 - y2 * y2])
+        assert tangent_space_dim(cone, (1, 0, 0, 0)) == 3
+
+    def test_smooth_conic_point(self):
+        assert tangent_space_dim(CONIC, (1, 0, 0)) == 1
+
+    def test_line_point(self):
+        line = HomogeneousIdeal(3, [V(3, 2)])
+        assert tangent_space_dim(line, (1, 1, 0)) == 1
+
+    def test_rejects_off_scheme_point(self):
+        with pytest.raises(ValueError):
+            tangent_space_dim(CONIC, (1, 1, 0))
+
+    def test_rejects_the_zero_vector(self):
+        with pytest.raises(ValueError, match="zero coordinate vector"):
+            tangent_space_dim(CONIC, (0, 0, 0))
 
 
 def _cofactor_det(matrix: list[list[Polynomial]], nvars: int) -> Polynomial:

@@ -25,7 +25,7 @@ from flagstab import (
 from flagstab.groebner import degree_echelon, normal_form, poly_to_row
 from flagstab.linalg import rank_of_rows
 
-from conftest import V, contains_oracle, flag_corpus
+from conftest import V, block_profile, contains_oracle, flag_corpus
 
 
 G211 = GradedOnePS((2, -1, -3), (2, 1, 1))  # size 4, ell 3
@@ -80,6 +80,60 @@ class TestStageData:
     def test_stage_out_of_range(self):
         with pytest.raises(ValueError):
             stage_data(G211, 3)
+
+
+def _identity(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+class TestBlockProfile:
+    def test_identity_in_everything(self):
+        bp = block_profile(_identity(4), G211)
+        assert bp.in_p and bp.in_l and bp.in_t and bp.in_r and bp.in_u
+        assert all(bp.in_u_bracket.values())
+        assert all(bp.in_u_paren.values())
+
+    def test_elementary_matrix(self):
+        # entry in block (1,2) (rows block 1, columns block 2, 1-based)
+        m = _identity(4)
+        m[0][2] = 7
+        bp = block_profile(m, G211)
+        assert bp.in_u
+        assert bp.in_u_bracket == {1: True, 2: False}
+        # entry in block (2,3): in U^[2] only
+        m = _identity(4)
+        m[2][3] = 5
+        bp = block_profile(m, G211)
+        assert bp.in_u
+        assert bp.in_u_bracket == {1: False, 2: True}
+        assert bp.in_u_paren == {1: False, 2: True}
+
+    def test_block_diagonal_det_one(self):
+        m = _identity(4)
+        m[0][0], m[0][1], m[1][0], m[1][1] = 2, 1, 1, 1  # det 1 in the W block
+        bp = block_profile(m, G211)
+        assert bp.in_r and bp.in_l and bp.in_p
+        assert not bp.in_u
+        assert not bp.in_t  # diagonal blocks are not scalar
+
+    def test_containments(self):
+        samples = [_identity(4)]
+        m = _identity(4)
+        m[1][3] = 2
+        samples.append(m)
+        m = [[1, 2, 3, 4], [0, 1, 5, 6], [0, 0, 1, 7], [0, 0, 0, 1]]
+        samples.append(m)
+        for m in samples:
+            bp = block_profile(m, G211)
+            for i in (1, 2):
+                assert not bp.in_u_bracket[i] or bp.in_u
+                assert not bp.in_u_paren[i] or bp.in_u
+            assert not bp.in_l or bp.in_p
+            assert not bp.in_t or bp.in_l
+
+    def test_size_mismatch(self):
+        with pytest.raises(ValueError):
+            block_profile(_identity(3), G211)
 
 
 class TestLieStabilizer:
@@ -301,3 +355,21 @@ def test_unipotent_stabilizer_matches_brute_force(case):
     assert configuration_unipotent_stabilizer_dim([ideal], g, j) == _brute_force_stabilizer_dim(
         ideal, g, j
     )
+
+
+@settings(deadline=None, max_examples=50)
+@given(
+    entries=st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(-3, 3)),
+        max_size=4,
+    )
+)
+def test_unipotent_membership_random(entries):
+    m = _identity(4)
+    blk = [0, 0, 1, 2]
+    for r, c, v in entries:
+        if r < c and blk[r] != blk[c]:
+            m[r][c] = v
+    bp = block_profile(m, G211)
+    assert bp.in_u  # strictly-upper block entries, unit diagonal
+    assert bp.in_p
