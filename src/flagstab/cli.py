@@ -8,6 +8,7 @@ Exit codes: 0 computed (even when a verdict is negative), 1 input error,
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
@@ -63,6 +64,7 @@ MAX_EXPONENT = 64
 MAX_DEGREE = 64  # total degree of a generator and of every product in it
 MAX_TERMS = 10_000  # terms of a product, bounded before it is expanded
 MAX_POINT_WORK = 20_000  # point stability: subsets enumerated times points counted
+MAX_DIGITS = 4300  # of an integer: CPython's default limit on `int()` of a string
 
 
 class ParseError(ValueError):
@@ -72,58 +74,31 @@ class ParseError(ValueError):
         self.col = col
 
 
-# -- polynomial expression parsing ------------------------------------
+# -- tokens and polynomial expressions ---------------------------------
+#
+# A token is a run of decimal digits, a word (letters, digits and "_") or
+# any other character but white space, which only separates tokens. A name
+# is a word that starts with a letter or "_" (`re` has no class of letters
+# alone, and "²" is a digit but not a decimal one). An integer is one
+# digit token, after an optional sign in a section's value.
+_TOKEN = re.compile(r"(\d+)|(\w+)|(\S)")
 
 
 def _is_name(text: str) -> bool:
-    """A name as `_Tokens.name` reads one: a letter or "_", then letters, digits or "_"."""
-    return (text[:1].isalpha() or text[:1] == "_") and text.replace("_", "a").isalnum()
+    """Whether `text` is one name token."""
+    token = _TOKEN.fullmatch(text)
+    return bool(token and token[2]) and (text[0].isalpha() or text[0] == "_")
 
 
-class _Tokens:
-    def __init__(self, text: str, line: int, col0: int):
-        self.text = text
-        self.line = line
-        self.col0 = col0  # column of text[0] in the source line
-        self.pos = 0
-        self.start = 0  # where the last integer or name began
-
-    def error(self, message: str, pos: int | None = None):
-        """Raise at `pos` in the text, by default the current position."""
-        raise ParseError(message, self.line, self.col0 + (self.pos if pos is None else pos))
-
-    def peek(self) -> str:
-        """Skip white space; the next character, or "" at the end."""
-        text, pos = self.text, self.pos
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-        self.pos = pos
-        return text[pos] if pos < len(text) else ""
-
-    def take(self) -> str:
-        c = self.peek()
-        self.pos += 1
-        return c
-
-    def integer(self) -> int:
-        self.peek()
-        start = self.start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
-            self.pos += 1
-        if start == self.pos:
-            self.error("expected an integer")
-        return int(self.text[start : self.pos])
-
-    def name(self) -> str:
-        self.peek()
-        start = self.start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-        if start == self.pos:
-            self.error("expected a variable name")
-        return self.text[start : self.pos]
+def _integer(text: str, line: int, malformed: str) -> int:
+    """`text` as an integer; where it is none, a `ParseError` saying `malformed`."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    token = _TOKEN.fullmatch(digits)
+    if not (token and token[1]):
+        raise ParseError(malformed, line, 1)
+    if len(digits) > MAX_DIGITS:
+        raise ParseError(f"an integer of more than {MAX_DIGITS} digits", line, 1)
+    return int(text)
 
 
 def _terms_mul(a: dict, b: dict) -> dict:
@@ -152,52 +127,75 @@ def parse_polynomial(text: str, names: list[str], line: int = 1, col0: int = 1) 
     index = {n: i for i, n in enumerate(names)}
     nvars = len(names)
     one = (0,) * nvars
-    toks = _Tokens(text, line, col0)
+    # (digits, word, other character), one of them set; then the end of the text
+    tokens = _TOKEN.findall(text) + [("", "", "")]
+    at = 0  # the next token
+
+    def error(message: str, token: int | None = None, end: bool = False):
+        """Raise at the start of a token, by default the next one, or with `end` past it."""
+        spans = [t.span() for t in _TOKEN.finditer(text)] + [(len(text), len(text))]
+        raise ParseError(message, line, col0 + spans[at if token is None else token][end])
+
+    def take(char: str) -> bool:
+        """Step past the next token if it is `char`."""
+        nonlocal at
+        hit = tokens[at][2] == char
+        at += hit
+        return hit
+
+    def integer() -> int:
+        nonlocal at
+        digits = tokens[at][0]
+        if not digits:
+            error("expected an integer")
+        if len(digits) > MAX_DIGITS:
+            error(f"an integer of more than {MAX_DIGITS} digits")
+        at += 1
+        return int(digits)
 
     def atom() -> dict:
-        c = toks.peek()
-        if c == "(":
-            toks.take()
+        nonlocal at
+        if take("("):
             inner = expr()
-            if toks.peek() != ")":
-                toks.error("expected ')'")
-            toks.take()
+            if not take(")"):
+                error("expected ')'")
             return inner
-        if c.isdecimal():
-            num = toks.integer()
-            if toks.peek() == "/":
-                toks.take()
-                den = toks.integer()
+        digits, word, _ = tokens[at]
+        if digits:
+            num = integer()
+            if take("/"):
+                den = integer()
                 if den == 0:
-                    toks.error("zero denominator", toks.start)
+                    error("zero denominator", at - 1)
                 num = Fraction(num, den)
             return {one: num} if num else {}
-        if c.isalpha() or c == "_":
-            name = toks.name()
-            if name not in index:
-                toks.error(f"undeclared variable '{name}'", toks.start)
+        if word[:1].isalpha() or word[:1] == "_":
+            if word not in index:
+                error(f"undeclared variable '{word}'")
+            at += 1
             exps = [0] * nvars
-            exps[index[name]] = 1
+            exps[index[word]] = 1
             return {tuple(exps): 1}
-        toks.error("expected a number, variable or '('")
+        error("expected a number, variable or '('")
 
     def check_size(degree: int, terms: int) -> None:
+        """Raise when the product of the factor last read breaks a cap: just
+        past the factor's exponent where it has one, else at the next token."""
+        past = tokens[at - 2][2] == "^"
         if degree > MAX_DEGREE:
-            toks.error(f"degree {degree} exceeds the cap of {MAX_DEGREE}")
+            error(f"degree {degree} exceeds the cap of {MAX_DEGREE}", at - past, past)
         if terms > MAX_TERMS:
-            toks.error(f"a product of more than {MAX_TERMS} terms")
+            error(f"a product of more than {MAX_TERMS} terms", at - past, past)
 
     def factor() -> dict:
         sign = 1
-        while toks.peek() == "-":
-            toks.take()
+        while take("-"):
             sign = -sign
         base = atom()
-        if toks.peek() == "^":
-            toks.take()
-            e = toks.integer()
+        if take("^"):
+            e = integer()
             if e > MAX_EXPONENT:
-                toks.error(f"exponent {e} exceeds the cap of {MAX_EXPONENT}", toks.start)
+                error(f"exponent {e} exceeds the cap of {MAX_EXPONENT}", at - 1)
             check_size(_terms_degree(base) * e, comb(len(base) + e, e))
             power = {one: 1}
             while e:  # square and multiply
@@ -211,8 +209,7 @@ def parse_polynomial(text: str, names: list[str], line: int = 1, col0: int = 1) 
 
     def term() -> dict:
         out = factor()
-        while toks.peek() == "*":
-            toks.take()
+        while take("*"):
             f = factor()
             check_size(_terms_degree(out) + _terms_degree(f), len(out) * len(f))
             out = _terms_mul(out, f)
@@ -220,25 +217,20 @@ def parse_polynomial(text: str, names: list[str], line: int = 1, col0: int = 1) 
 
     def expr() -> dict:
         out = term()
-        while True:
-            c = toks.peek()
-            if c == "+":
-                sign = 1
-            elif c == "-":
-                sign = -1
-            else:
-                return out
-            toks.take()
+        while (op := tokens[at][2]) in ("+", "-"):
+            take(op)
+            sign = 1 if op == "+" else -1
             for m, v in term().items():
                 v = out.get(m, 0) + sign * v
                 if v:
                     out[m] = v
                 else:
                     del out[m]
+        return out
 
     result = expr()
-    if toks.peek():
-        toks.error(f"unexpected character '{toks.peek()}'")
+    if at < len(tokens) - 1:
+        error(f"unexpected character '{''.join(tokens[at])[0]}'")
     return Polynomial(nvars, result)
 
 
@@ -261,24 +253,17 @@ class InputDocument:
 
 
 def _ints(body: str, line: int) -> list[int]:
-    out = []
-    for part in body.split(","):
-        part = part.strip()
-        try:
-            out.append(int(part))
-        except ValueError:
-            raise ParseError(f"malformed integer '{part}'", line, 1) from None
-    return out
+    parts = [part.strip() for part in body.split(",")]
+    return [_integer(part, line, f"malformed integer '{part}'") for part in parts]
 
 
 def _fraction(text: str, line: int) -> Fraction:
-    try:
-        if "/" in text:
-            num, den = text.split("/")
-            return Fraction(int(num), int(den))
-        return Fraction(int(text))
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"malformed rational '{text}'", line, 1) from None
+    """A rational "p" or "p/q", white space allowed around the "/"."""
+    malformed = f"malformed rational '{text}'"
+    parts = [_integer(part.strip(), line, malformed) for part in text.split("/")]
+    if len(parts) > 2 or 0 in parts[1:]:
+        raise ParseError(malformed, line, 1)
+    return Fraction(*parts)
 
 
 def parse_document(text: str) -> InputDocument:
@@ -358,10 +343,7 @@ def parse_document(text: str) -> InputDocument:
                     raise ParseError(f"unknown flag parameter '{k}'", lineno, 1)
                 if k in doc.flag_params:
                     raise ParseError(f"repeated flag parameter '{k}'", lineno, 1)
-                try:
-                    doc.flag_params[k] = int(v)
-                except ValueError:
-                    raise ParseError(f"malformed integer '{v}'", lineno, 1) from None
+                doc.flag_params[k] = _integer(v, lineno, f"malformed integer '{v}'")
                 if k in ("n", "dimv") and doc.flag_params[k] > MAX_VARIABLES:
                     raise ParseError(
                         f"flag parameter {k} = {v} exceeds the cap of {MAX_VARIABLES}", lineno, 1
@@ -493,7 +475,13 @@ def _splitting(doc: InputDocument) -> Splitting:
 
 def _grading(doc: InputDocument) -> GradedOnePS | None:
     """The document's graded 1PS; None where it has no `beta:` section."""
-    return None if doc.beta is None else GradedOnePS(tuple(doc.beta), tuple(doc.mults))
+    if doc.beta is None:
+        return None
+    g = GradedOnePS(tuple(doc.beta), tuple(doc.mults))
+    _require(
+        g.size <= MAX_VARIABLES, f"grading dimension {g.size} exceeds the cap of {MAX_VARIABLES}"
+    )
+    return g
 
 
 def _flag(doc: InputDocument) -> HyperplanarFlag:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import _singular_locus_empty, flat_limit, is_nondegenerate
+from .geometry import flat_limit, is_nondegenerate, singular_locus_empty
 from .groebner import canonical_generators, restrict_to_variables
 from .hilbert import (
     PointConfiguration,
@@ -221,9 +221,8 @@ def validate_flag(flag: HyperplanarFlag) -> FlagValidationReport:
         hs.degree == degree for hs in data
     )
     nondeg = all(is_nondegenerate(ideal) for ideal in strata)
-    smooth = {  # stratum i has codimension nvars - 1 - i
-        i: data[i].dimension == i and _singular_locus_empty(strata[i], strata[i].nvars - 1 - i)
-        for i in range(1, flag.n + 1)
+    smooth = {
+        i: data[i].dimension == i and singular_locus_empty(strata[i]) for i in range(1, flag.n + 1)
     }
 
     points_reduced: bool | None = None

@@ -181,11 +181,7 @@ def singular_locus_empty(ideal: HomogeneousIdeal) -> bool:
     its reduced basis hold a power of every variable (a constant lead, the
     unit ideal, is a power of each; Cox-Little-O'Shea, "Ideals, Varieties,
     and Algorithms", ch. 5 par. 3, the finiteness theorem)."""
-    return _singular_locus_empty(ideal, (ideal.nvars - 1) - hilbert_series(ideal).dimension)
-
-
-def _singular_locus_empty(ideal: HomogeneousIdeal, c: int) -> bool:
-    """`singular_locus_empty` for an ideal of codimension c."""
+    c = (ideal.nvars - 1) - hilbert_series(ideal).dimension
     minors = _jacobian_minors(ideal, c)
     j_ideal = HomogeneousIdeal(ideal.nvars, list(ideal.generators) + minors)
     leads = buchberger(j_ideal, GRLEX).leading_monomials()

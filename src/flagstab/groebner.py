@@ -165,12 +165,6 @@ class GroebnerBasis:
     def leading_monomials(self) -> list[Monomial]:
         return [max(g.ints, key=self.order.key) for g in self.basis]
 
-    def reduce(self, f: Polynomial) -> Polynomial:
-        return normal_form(f, self.basis, self.order)
-
-    def contains(self, f: Polynomial) -> bool:
-        return self.reduce(f).is_zero
-
 
 # {(ideal, order): reduced basis} of the innermost `gb_memo()` block
 _MEMO: ContextVar[dict | None] = ContextVar("gb_memo", default=None)

@@ -187,9 +187,6 @@ class HilbertData:
     dimension: int
     degree: int
 
-    def polynomial_value(self, t: int) -> Fraction:
-        return eval_poly(self.coefficients, t)
-
 
 def hilbert_data(ideal: HomogeneousIdeal) -> HilbertData:
     """Hilbert polynomial, dimension, degree, stabilization degree (1 + the

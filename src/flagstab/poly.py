@@ -87,12 +87,6 @@ class OnePS:
             )
         return sum(a * r for a, r in zip(m, self.weights))
 
-    def negate(self) -> "OnePS":
-        return OnePS(tuple(-w for w in self.weights))
-
-    def scale(self, k: int) -> "OnePS":
-        return OnePS(tuple(k * w for w in self.weights))
-
 
 @dataclass(frozen=True)
 class TermOrder:
@@ -187,10 +181,6 @@ class Polynomial:
         exps[i] = 1
         return cls._canonical(nvars, {tuple(exps): 1}, 1, 1)
 
-    @classmethod
-    def from_monomial(cls, m: Monomial, c=1) -> "Polynomial":
-        return cls(len(m), {tuple(m): c})
-
     # -- basic queries -------------------------------------------------
 
     @property
@@ -210,9 +200,6 @@ class Polynomial:
     @property
     def is_homogeneous(self) -> bool:
         return len(set(map(sum, self.ints))) <= 1
-
-    def coefficient(self, m: Monomial) -> Fraction:
-        return Fraction(self.ints.get(tuple(m), 0) * self.num, self.den)
 
     def variables_used(self) -> set[int]:
         used: set[int] = set()
@@ -308,12 +295,6 @@ class Polynomial:
         return hash((self.nvars, frozenset(self.ints)))
 
     # -- structure -----------------------------------------------------
-
-    def leading(self, order: TermOrder = GRLEX) -> tuple[Monomial, Fraction]:
-        if not self.ints:
-            raise ValueError("zero polynomial has no leading term")
-        m = max(self.ints, key=order.key)
-        return m, Fraction(self.ints[m] * self.num, self.den)
 
     def monic(self, order: TermOrder = GRLEX) -> "Polynomial":
         if not self.ints:

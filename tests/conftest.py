@@ -44,7 +44,7 @@ def poly(nvars: int, *terms) -> Polynomial:
     """Build a polynomial from (coeff, exponents) pairs."""
     out = Polynomial.zero(nvars)
     for c, exps in terms:
-        out = out + Polynomial.from_monomial(tuple(exps), c)
+        out = out + Polynomial(nvars, {tuple(exps): c})
     return out
 
 
@@ -77,10 +77,10 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder = GRLEX) -> Poly
     """S-polynomial of f and g with respect to their leading terms."""
     if f.is_zero or g.is_zero:
         raise ValueError("S-polynomial of a zero polynomial")
-    (mf, cf), (mg, cg) = f.leading(order), g.leading(order)
+    mf, mg = max(f.ints, key=order.key), max(g.ints, key=order.key)
     l = monomial_lcm(mf, mg)
-    lf = Polynomial.from_monomial(monomial_div(l, mf), 1 / cf)
-    return lf * f - Polynomial.from_monomial(monomial_div(l, mg), 1 / cg) * g
+    lf = Polynomial(f.nvars, {monomial_div(l, mf): 1 / f.terms[mf]})
+    return lf * f - Polynomial(g.nvars, {monomial_div(l, mg): 1 / g.terms[mg]}) * g
 
 
 def contains_oracle(ideal: HomogeneousIdeal, f: Polynomial) -> bool:
@@ -307,7 +307,7 @@ def _random_homogeneous(rng: random.Random, nvars: int, degree: int) -> Polynomi
     out = Polynomial.zero(nvars)
     for m in picked:
         c = rng.choice([-3, -2, -1, 1, 2, 3])
-        out = out + Polynomial.from_monomial(m, c)
+        out = out + Polynomial(nvars, {m: c})
     return out
 
 

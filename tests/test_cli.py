@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import comb
@@ -66,10 +67,7 @@ class TestParsePolynomial:
 
     def test_rational_coefficients(self):
         f = parse_polynomial("1/2*x^2 - 3*x*y", ["x", "y"])
-        from fractions import Fraction
-
-        assert f.coefficient((2, 0)) == Fraction(1, 2)
-        assert f.coefficient((1, 1)) == -3
+        assert f.terms == {(2, 0): Fraction(1, 2), (1, 1): -3}
 
     def test_parentheses_and_signs(self):
         f = parse_polynomial("x*(x + y) - (-y)^2", ["x", "y"])
@@ -182,6 +180,10 @@ PARSE_ERRORS = [
     ("x^65", 2, 1, 1, "line 1, column 3: exponent 65 exceeds the cap of 64"),
     ("x^40*y^30", 2, 1, 1, "line 1, column 10: degree 70 exceeds the cap of 64"),
     ("(x*y)^33", 2, 1, 1, "line 1, column 9: degree 66 exceeds the cap of 64"),
+    # the column is just past the exponent of the factor that breaks the
+    # cap, or the next token's where that factor has no exponent
+    ("x^40*y^30 + 1", 2, 1, 1, "line 1, column 10: degree 70 exceeds the cap of 64"),
+    ("x^64 * y + 1", 2, 1, 1, "line 1, column 10: degree 65 exceeds the cap of 64"),
     (
         "(x0 + x1 + x2 + x3 + x4 + x5 + x6 + x7)^64", 8, 1, 1,
         "line 1, column 43: a product of more than 10000 terms",
@@ -199,10 +201,17 @@ PARSE_ERRORS = [
     # a digit `int` does not read is not an integer
     ("x^²", 2, 1, 1, "line 1, column 3: expected an integer"),
     ("²*x", 2, 1, 1, "line 1, column 1: expected a number, variable or '('"),
+    # an integer has at most 4300 digits, the most `int` reads from a string
+    ("x + " + "7" * 5000, 2, 1, 1, "line 1, column 5: an integer of more than 4300 digits"),
 ]
 
 
-@pytest.mark.parametrize("text, nvars, line, col0, message", PARSE_ERRORS)
+def _short_id(value):
+    """A test id that names a long input by its length, not its text."""
+    return f"<{len(value)} characters>" if isinstance(value, str) and len(value) > 200 else None
+
+
+@pytest.mark.parametrize("text, nvars, line, col0, message", PARSE_ERRORS, ids=_short_id)
 def test_parse_error_text(text, nvars, line, col0, message):
     names = ["x", "y"] if nvars == 2 else [f"x{i}" for i in range(nvars)]
     with pytest.raises(ParseError) as err:
@@ -233,12 +242,44 @@ def test_parse_error_text(text, nvars, line, col0, message):
         ("ringing: a, b\n", "line 1, column 1: unknown section 'ringing'"),
         ("ring x y, z\n", "line 1, column 1: malformed variable name 'x y'"),
         ("ring a, 2b\n", "line 1, column 1: malformed variable name '2b'"),
+        # every section reads an integer as the polynomial parser does:
+        # no "_" grouping, at most 4300 digits
+        ("weights: 1_0, -1_0\n", "line 1, column 1: malformed integer '1_0'"),
+        ("flag: n=1_0 d=4\n", "line 1, column 1: malformed integer '1_0'"),
+        ("points: (1, 0); (1_0, 1)\n", "line 1, column 1: malformed rational '1_0'"),
+        (
+            "weights: 1, -" + "9" * 5000 + "\n",
+            "line 1, column 1: an integer of more than 4300 digits",
+        ),
+        (
+            "ring x\n\nideal: x - " + "3" * 5000 + "*x\n",
+            "line 3, column 12: an integer of more than 4300 digits",
+        ),
     ],
+    ids=_short_id,
 )
 def test_document_error_columns(text, message):
     with pytest.raises(ParseError) as err:
         parse_document(text)
     assert str(err.value) == message
+
+
+def test_a_name_is_what_the_parser_reads_as_its_variable():
+    """`_is_name(s)` holds exactly when `parse_polynomial` reads `s`, declared
+    as the one variable, as that variable: ring names and expressions share
+    one token grammar."""
+    rng = random.Random(0)
+    x = Polynomial.variable(1, 0)
+    seen = set()
+    for _ in range(3000):
+        s = "".join(rng.choice("xé_Ж07٣² -*") for _ in range(rng.randint(1, 4)))
+        try:
+            reads = parse_polynomial(s, [s]) == x
+        except ParseError:
+            reads = False
+        assert cli._is_name(s) == reads, s
+        seen.add(reads)
+    assert seen == {True, False}
 
 
 class TestParseDocument:
@@ -320,6 +361,27 @@ class TestInputCaps:
             assert f"flag parameter {refused} {cap}" in err
         path.write_text(f"flag: n={MAX_VARIABLES - 2} d=40 dimv={MAX_VARIABLES}\n")
         assert run(capsys, "admissible", str(path))[0] == 0
+
+    def test_grading_dimension_cap(self, tmp_path, capsys):
+        # mults of 10^7 each ran past 60 s; flag-weight builds a list of length dim V
+        path = tmp_path / "huge-grading.txt"
+        grading = "beta: 1, -1\nmults: 10000000, 10000000\n"
+        for command, doc in [
+            ("grading", grading),
+            ("flag-weight", f"flag: n=1 d=5000000 a0=1\nstage: 1\n{grading}"),
+        ]:
+            path.write_text(doc)
+            start = time.perf_counter()
+            code, out, err = run(capsys, command, str(path))
+            assert time.perf_counter() - start < 1
+            assert (code, out) == (1, "")
+            cap = f"grading dimension 20000000 exceeds the cap of {MAX_VARIABLES}"
+            assert err == f"flagstab: error: {cap}\n"
+        # 16*17 - 17*16 = 0: dimension 33 is refused, 32 is read
+        path.write_text("beta: 16, -17\nmults: 17, 16\n")
+        assert "grading dimension 33 exceeds" in run(capsys, "grading", str(path))[2]
+        path.write_text("beta: 1, -1\nmults: 16, 16\n")
+        assert run(capsys, "grading", str(path))[0] == 0
 
     def test_oracle_column_cap(self, tmp_path, capsys):
         # flat-limit --check runs the oracle up to degree 20 in 8 variables

@@ -418,24 +418,20 @@ class TestSingularLocus:
         with pytest.raises(Swept):
             _jacobian_minors(_rational_normal_curve(6), 5)
 
-    def test_validate_flag_passes_the_codimension(self, monkeypatch):
-        """`validate_flag` hands each stratum's codimension to the check, so
-        the check computes no Hilbert series of its own."""
-        seen, check = [], geometry._singular_locus_empty
+    def test_validate_flag_checks_each_stratum(self, monkeypatch):
+        """`validate_flag` runs the public smoothness check on each stratum
+        of positive dimension, a curve in P^2 and a surface in P^3 here."""
+        seen, check = [], geometry.singular_locus_empty
 
-        def recording(ideal, c):
-            seen.append((ideal.nvars, c))
-            return check(ideal, c)
+        def recording(ideal):
+            seen.append(ideal.nvars)
+            return check(ideal)
 
-        def refuse(ideal):
-            raise AssertionError("the smoothness check computed a Hilbert series")
-
-        monkeypatch.setattr(flags_module, "_singular_locus_empty", recording)
-        monkeypatch.setattr(geometry, "hilbert_series", refuse)
+        monkeypatch.setattr(flags_module, "singular_locus_empty", recording)
         x, y, v1, v2 = (V(4, i) for i in range(4))
         surface = x * y * (x - y) * (x - 2 * y) + v1**4 - 2 * v2**4
         report = validate_flag(HyperplanarFlag(2, 4, HomogeneousIdeal(4, [surface])))
-        assert seen == [(3, 1), (4, 1)]
+        assert seen == [3, 4]
         assert report.smooth == {1: True, 2: True}
 
 

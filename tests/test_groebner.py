@@ -98,14 +98,14 @@ class TestBuchberger:
         gb = buchberger(ideal)
         for d in range(1, 6):
             for m in monomials_of_degree(4, d):
-                f = Polynomial.from_monomial(m)
-                assert gb.contains(f) == contains_oracle(ideal, f)
+                f = Polynomial(4, {m: 1})
+                assert normal_form(f, gb.basis).is_zero == contains_oracle(ideal, f)
 
     def test_input_generators_reduce_to_zero(self):
         ideal = twisted_cubic()
         gb = buchberger(ideal, weight_order(OnePS((1, 1, -1, -1))))
         for g in ideal.generators:
-            assert gb.reduce(g).is_zero
+            assert normal_form(g, gb.basis, gb.order).is_zero
 
     def test_deterministic(self):
         a = buchberger(twisted_cubic())
@@ -233,7 +233,7 @@ def test_normal_form_of_rational_input_by_any_basis(seed, order):
     assume(any(not normal_form(s_polynomial(a, b, order), basis, order).is_zero for a, b in pairs))
     f = _random_form(rng, 3, 3, 6, WIDE)
     r = normal_form(f, basis, order)
-    leads = [b.leading(order)[0] for b in basis]
+    leads = [max(b.ints, key=order.key) for b in basis]
     assert not any(monomial_divides(mb, m) for m in r.terms for mb in leads)
     assert contains_oracle(HomogeneousIdeal(3, basis), f - r)
 
@@ -354,16 +354,14 @@ def test_degree_past_the_packing_bound_raises():
     assert packing.unpack(packing.pack((_Packing.BOUND - 2, 1))) == (_Packing.BOUND - 2, 1)
     with pytest.raises(ValueError, match="degree"):
         packing.pack((_Packing.BOUND - 1, 1))
-    past = Polynomial.from_monomial((_Packing.BOUND, 0))
+    past = Polynomial(2, {(_Packing.BOUND, 0): 1})
     with pytest.raises(ValueError, match="degree"):
         normal_form(past, [V(2, 0)])
     with pytest.raises(ValueError, match="degree"):
         buchberger(HomogeneousIdeal(2, [past]))
     # every generator is below the bound, the lcm of their leads is not
     e = _Packing.BOUND // 2 + 5
-    ideal = HomogeneousIdeal(
-        2, [Polynomial.from_monomial((e, 1)), Polynomial.from_monomial((1, e))]
-    )
+    ideal = HomogeneousIdeal(2, [Polynomial(2, {(e, 1): 1}), Polynomial(2, {(1, e): 1})])
     with pytest.raises(ValueError, match="degree"):
         buchberger(ideal)
 
@@ -383,9 +381,10 @@ def test_principal_ideal_skips_the_division_kernel(order, monkeypatch):
     monkeypatch.setattr(groebner, "_divide", refuse)
     x, y, z = (V(3, i) for i in range(3))
     (f,) = HomogeneousIdeal(3, [x**2 + 3 * x * y - 2 * y * z]).generators
-    assert f.leading(order)[0] != f.leading(GRLEX)[0]
+    lead = max(f.ints, key=order.key)
+    assert lead != max(f.ints, key=GRLEX.key)
     assert buchberger(HomogeneousIdeal(3, [f]), order).basis == (f.monic(order),)
-    assert f.monic(order).leading(order)[1] == 1
+    assert f.monic(order).terms[lead] == 1
 
 
 # `_divide` calls of one basis computation, under GRLEX, a weight order and
@@ -438,7 +437,8 @@ def test_scaled_weights_give_the_same_basis(ideal):
     """λ and 10^12·λ define one order, though they pack to other widths."""
     lam = OnePS((3, -2) + (1,) * (ideal.nvars - 3) + (-2,))
     basis = buchberger(ideal, weight_order(lam)).basis
-    assert buchberger(ideal, weight_order(lam.scale(10**12))).basis == basis
+    scaled = OnePS(tuple(10**12 * w for w in lam.weights))
+    assert buchberger(ideal, weight_order(scaled)).basis == basis
 
 
 @pytest.mark.parametrize("ideal", RANDOM_IDEALS + WIDE_IDEALS, ids=RANDOM_IDS)
