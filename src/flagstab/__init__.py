@@ -28,7 +28,6 @@ from .groebner import (
 from .hilbert import (
     HilbertData,
     HilbertSeries,
-    InternalLimitError,
     PointConfiguration,
     PreconditionError,
     StabilityVerdict,
@@ -40,6 +39,7 @@ from .hilbert import (
 )
 from .geometry import (
     JoinCheckReport,
+    LimitMismatch,
     Splitting,
     flat_limit,
     flat_limit_oracle,
@@ -57,7 +57,6 @@ from .parabolic import (
 from .flags import (
     AdmissibilityResult,
     FlagConfiguration,
-    FlagLimitMismatch,
     FlagValidationReport,
     HyperplanarFlag,
     StabilityReport,

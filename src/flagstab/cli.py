@@ -18,7 +18,6 @@ from operator import add
 
 from . import __version__
 from .flags import (
-    FlagLimitMismatch,
     FlagValidationReport,
     HyperplanarFlag,
     StabilityReport,
@@ -31,6 +30,7 @@ from .flags import (
 )
 from .geometry import (
     JoinCheckReport,
+    LimitMismatch,
     Splitting,
     flat_limit,
     flat_limit_oracle,
@@ -38,7 +38,6 @@ from .geometry import (
 )
 from .groebner import buchberger, canonical_generators, gb_memo, ideal_equal
 from .hilbert import (
-    InternalLimitError,
     PointConfiguration,
     StabilityVerdict,
     chow_points_stability,
@@ -509,9 +508,9 @@ def _flat_limit(doc: InputDocument, args) -> dict:
         # of I, and an equal series of the limit makes the two equal.
         bound = max(limit.max_generator_degree(), ideal.max_generator_degree())
         if not ideal_equal(limit, flat_limit_oracle(ideal, lam, bound)):
-            raise InternalLimitError("flat limit disagrees with the degreewise oracle")
+            raise LimitMismatch("flat limit disagrees with the degreewise oracle")
         if hilbert_series(limit) != hilbert_series(ideal):
-            raise InternalLimitError("flat limit's Hilbert series differs from the ideal's")
+            raise LimitMismatch("flat limit's Hilbert series differs from the ideal's")
     return {"generators": limit}
 
 
@@ -692,6 +691,12 @@ _PARSER.add_argument("--output", choices=("json", "text"), default="json")
 
 
 def main(argv=None) -> int:
+    # exact answers can have integers past the interpreter's int-to-str
+    # digit limit (4300 by default; no limit exists before 3.10.7), so it
+    # is lifted for the run and restored for the caller
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digit_limit:
+        sys.set_int_max_str_digits(0)
     try:
         args = _PARSER.parse_args(argv)
         if args.command == "batch":
@@ -708,12 +713,15 @@ def main(argv=None) -> int:
         out, code = run_file(args.command, args.files[0], args)
         sys.stdout.write(render(out, args.output))
         return code
-    except (InternalLimitError, FlagLimitMismatch) as exc:
+    except LimitMismatch as exc:
         print(f"flagstab: cross-check failed: {exc}", file=sys.stderr)
         return 3
     except (ParseError, ValueError, DimensionError, OSError) as exc:
         print(f"flagstab: error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if digit_limit:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import flat_limit, is_nondegenerate, singular_locus_empty
+from .geometry import LimitMismatch, flat_limit, is_nondegenerate, singular_locus_empty
 from .groebner import canonical_generators, restrict_to_variables
 from .hilbert import (
     PointConfiguration,
@@ -22,10 +22,6 @@ from .hilbert import (
 )
 from .parabolic import GradedOnePS, configuration_unipotent_stabilizer_dim, stage_data
 from .poly import HomogeneousIdeal, OnePS, Polynomial
-
-
-class FlagLimitMismatch(RuntimeError):
-    """The join construction and the flat-limit computation disagreed."""
 
 
 @dataclass(frozen=True)
@@ -165,9 +161,7 @@ def flag_limit(
         # the flat limit is a reduced graded-lex basis, like each stratum
         for j in range(flag.n + 1):
             if flat_limit(base(j), lam) != limit.strata[j]:
-                raise FlagLimitMismatch(
-                    f"stage {i}, stratum {j}: flat limit disagrees with the join"
-                )
+                raise LimitMismatch(f"stage {i}, stratum {j}: flat limit disagrees with the join")
     return limit
 
 

@@ -48,6 +48,11 @@ class Splitting:
             raise ValueError("splitting blocks must partition the variables")
 
 
+class LimitMismatch(RuntimeError):
+    """A cross-check of a flat limit failed: two independent computations
+    of the same limit disagreed."""
+
+
 def flat_limit(ideal: HomogeneousIdeal, lam: OnePS) -> HomogeneousIdeal:
     """Ideal of the limit subscheme: the initial parts of the reduced
     Groebner basis under the weight-refined order.

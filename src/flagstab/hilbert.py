@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import NamedTuple
 
 from .linalg import Echelon, row_from_fractions
@@ -33,10 +33,6 @@ from .poly import (
     monomial_divides,
     series_coefficient,
 )
-
-
-class InternalLimitError(RuntimeError):
-    """Two independent computations of the same object disagreed."""
 
 
 class PreconditionError(ValueError):
@@ -78,14 +74,6 @@ def _add(a: list[int], b: list[int]) -> list[int]:
         out[i] += v
     for i, v in enumerate(b):
         out[i] += v
-    return _trim(out)
-
-
-def _mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, u in enumerate(a):
-        for j, v in enumerate(b):
-            out[i + j] += u * v
     return _trim(out)
 
 
@@ -234,11 +222,20 @@ def chow_weight_numeric(ideal: HomogeneousIdeal, lam: OnePS) -> Fraction:
     (i_1, ..., i_s); each distribution on which every factor's Hilbert
     function h_t is nonzero contributes sum_t i_t*c_t*h_t(i_t), and the
     slice weight is minus the total. In series form the total is
-    sum_t c_t * t*G_t'(t) * prod_{s != t} E_s(t), with G_t the factor's
-    Hilbert series and E_s the series of the indicator h_s(i) != 0. The
-    weight polynomial has degree at most n+1, and a_X is -(n+1)! times its
-    coefficient of m^(n+1): the numerator of the total's series over
-    (1-t)^(n+2), evaluated at t = 1.
+    sum_t c_t * t*G_t'(t) * prod_{s != t} E_s(t), with G_t = q_t/(1-t)^p_t
+    the factor's cancelled Hilbert series and E_s the series of the
+    indicator h_s(i) != 0: 1/(1-t) when p_s > 0, else 1 + t + ... +
+    t^(len(q_s) - 1). The weight polynomial has degree at most n+1, with
+    n+2 = 1 + sum_s p_s, and a_X is -(n+1)! times its coefficient of
+    m^(n+1): the total's numerator over (1-t)^(n+2), evaluated at t = 1.
+
+    In closed form: for p_t > 0 term t has a pole of order
+    p_t + 1 + #{s != t : p_s > 0} at t = 1 and numerator c_t*p_t*q_t(1)
+    times prod_{p_s = 0} len(q_s) there (E_s(1), the number of degrees
+    where h_s is nonzero); for p_t = 0 the order is lower. It reaches
+    n+2 only when every other p_s <= 1. So any two factors of positive
+    dimension (p >= 2) make a_X = 0: this is why a join of two
+    positive-dimensional factors reads 0.
     """
     if not lam.sl_normalized:
         raise PreconditionError("weight vector must sum to zero")
@@ -246,39 +243,20 @@ def chow_weight_numeric(ideal: HomogeneousIdeal, lam: OnePS) -> Fraction:
     if any(len({lam.weight(m) for m in g.ints}) > 1 for g in gb.basis):
         raise PreconditionError("ideal is not fixed by the weight vector")
     leads = gb.leading_monomials()
-    num = _numerator(leads)
-    n = _cancel(num, ideal.nvars)[1] - 1
-    if n < 0:
+    if _cancel(_numerator(leads), ideal.nvars)[1] == 0:
         raise PreconditionError("empty subscheme has no Chow weight")
     # a factor's N(t) does not depend on the variables its leads omit
-    space_leads: dict[int, list] = {c: [] for c in sorted(set(lam.weights), reverse=True)}
+    space_leads: dict[int, list] = {c: [] for c in set(lam.weights)}
     for g, lead in zip(gb.basis, leads):
         space = {lam.weights[i] for i in g.variables_used()}
         if len(space) > 1:
             raise PreconditionError("ideal is not cut out within the weight spaces of the 1PS")
         space_leads[space.pop()].append(lead)
-    factors = [(c, lam.weights.count(c), _numerator(space_leads[c])) for c in space_leads]
-    # E_s = e_s/(1-t): e_s = 1 for a nonempty factor, 1 - t^(k+1) when its
-    # Hilbert function vanishes after degree k
-    indicators = []
-    for _, k, num_t in factors:
-        q, d = _cancel(num_t, k)
-        indicators.append([1] if d else _add([1], [0] * len(q) + [-1]))
-    # t*G_t' = t*(N_t'*(1-t) + k_t*N_t)/(1-t)^(k_t+1), so term t is over
-    # (1-t)^(k_t + len(factors)); bring every term to (1-t)^(nvars + len(factors))
-    total: list[int] = []
-    for t, (c, k, num_t) in enumerate(factors):
-        deriv = [i * v for i, v in enumerate(num_t)][1:]
-        term = _scale(_add(_mul(deriv, [1, -1]), _scale(num_t, k)), c, 1)
-        for s, e in enumerate(indicators):
-            if s != t:
-                term = _mul(term, e)
-        for _ in range(ideal.nvars - k):
-            term = _mul(term, [1, -1])
-        total = _add(total, term)
-    # the pole order is at most n+2, and below it the weight is 0
-    q, d = _cancel(total, ideal.nvars + len(factors))
-    return Fraction(sum(q)) if d == n + 2 else Fraction(0)
+    spaces = [(c, *_cancel(_numerator(space_leads[c]), lam.weights.count(c))) for c in space_leads]
+    wide = sum(p > 1 for _, _, p in spaces)  # factors of positive dimension
+    # term t reaches order n+2 iff p_t > 0 and no other factor is wide
+    total = sum(c * p * sum(q) for c, q, p in spaces if p and wide == (p > 1))
+    return Fraction(total * prod(len(q) for _, q, p in spaces if not p))
 
 
 # -- Chow stability of point configurations ---------------------------

@@ -31,7 +31,15 @@ from flagstab import (
 from flagstab.flags import HyperplanarFlag
 from flagstab.geometry import Splitting
 from flagstab.groebner import degree_echelon, poly_to_row, restrict_to_variables
-from flagstab.hilbert import PointConfiguration, normalize_point
+from flagstab.hilbert import (
+    PointConfiguration,
+    _add,
+    _cancel,
+    _numerator,
+    _scale,
+    _trim,
+    normalize_point,
+)
 from flagstab.linalg import rank_of_rows, row_from_fractions
 from flagstab.poly import monomial_divides, monomial_lcm
 
@@ -147,6 +155,76 @@ def chow_weight_join(a: int, b: int, d: int, dim_y: int, dim_pu: int) -> int:
     if a + b * d == 0:
         raise PreconditionError("equal-dimension case requires a + b*d != 0")
     return (a + b * d) * (dim_y + 1)
+
+
+def _mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return _trim(out)
+
+
+def chow_weight_series(ideal: HomogeneousIdeal, lam: OnePS) -> Fraction:
+    """`chow_weight_numeric` as series arithmetic: the per-weight-space
+    series are multiplied out, and the total's numerator is read at t = 1.
+
+    Both preconditions are read off the reduced graded-lex basis. The
+    ideal is lam-fixed iff every basis element is lam-homogeneous. It is
+    cut out within the weight spaces iff every element uses one weight
+    space's variables; then the coordinate ring is the (degreewise)
+    tensor product of one factor per weight space, whose basis is the
+    elements of that space.
+
+    The degree-m slice splits over weight-space degree distributions
+    (i_1, ..., i_s); each distribution on which every factor's Hilbert
+    function h_t is nonzero contributes sum_t i_t*c_t*h_t(i_t), and the
+    slice weight is minus the total. In series form the total is
+    sum_t c_t * t*G_t'(t) * prod_{s != t} E_s(t), with G_t the factor's
+    Hilbert series and E_s the series of the indicator h_s(i) != 0. The
+    weight polynomial has degree at most n+1, and a_X is -(n+1)! times its
+    coefficient of m^(n+1): the numerator of the total's series over
+    (1-t)^(n+2), evaluated at t = 1.
+    """
+    if not lam.sl_normalized:
+        raise PreconditionError("weight vector must sum to zero")
+    gb = buchberger(ideal, GRLEX)
+    if any(len({lam.weight(m) for m in g.ints}) > 1 for g in gb.basis):
+        raise PreconditionError("ideal is not fixed by the weight vector")
+    leads = gb.leading_monomials()
+    num = _numerator(leads)
+    n = _cancel(num, ideal.nvars)[1] - 1
+    if n < 0:
+        raise PreconditionError("empty subscheme has no Chow weight")
+    # a factor's N(t) does not depend on the variables its leads omit
+    space_leads: dict[int, list] = {c: [] for c in sorted(set(lam.weights), reverse=True)}
+    for g, lead in zip(gb.basis, leads):
+        space = {lam.weights[i] for i in g.variables_used()}
+        if len(space) > 1:
+            raise PreconditionError("ideal is not cut out within the weight spaces of the 1PS")
+        space_leads[space.pop()].append(lead)
+    factors = [(c, lam.weights.count(c), _numerator(space_leads[c])) for c in space_leads]
+    # E_s = e_s/(1-t): e_s = 1 for a nonempty factor, 1 - t^(k+1) when its
+    # Hilbert function vanishes after degree k
+    indicators = []
+    for _, k, num_t in factors:
+        q, d = _cancel(num_t, k)
+        indicators.append([1] if d else _add([1], [0] * len(q) + [-1]))
+    # t*G_t' = t*(N_t'*(1-t) + k_t*N_t)/(1-t)^(k_t+1), so term t is over
+    # (1-t)^(k_t + len(factors)); bring every term to (1-t)^(nvars + len(factors))
+    total: list[int] = []
+    for t, (c, k, num_t) in enumerate(factors):
+        deriv = [i * v for i, v in enumerate(num_t)][1:]
+        term = _scale(_add(_mul(deriv, [1, -1]), _scale(num_t, k)), c, 1)
+        for s, e in enumerate(indicators):
+            if s != t:
+                term = _mul(term, e)
+        for _ in range(ideal.nvars - k):
+            term = _mul(term, [1, -1])
+        total = _add(total, term)
+    # the pole order is at most n+2, and below it the weight is 0
+    q, d = _cancel(total, ideal.nvars + len(factors))
+    return Fraction(sum(q)) if d == n + 2 else Fraction(0)
 
 
 def join_ideal(ideal_y: HomogeneousIdeal, split: Splitting) -> HomogeneousIdeal:

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import random
-import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction

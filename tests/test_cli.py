@@ -5,6 +5,7 @@ import contextlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -25,6 +26,7 @@ from flagstab import (
     buchberger,
     check_flag_stability,
     cli,
+    flags,
     gb_memo,
     groebner,
     hilbert,
@@ -510,6 +512,26 @@ class TestExitCodes:
     def test_missing_file(self, capsys):
         code, _, _ = run(capsys, "gb", "/nonexistent/nope.txt")
         assert code == 1
+
+    def test_flag_limit_cross_check_failure(self, capsys, monkeypatch):
+        wrong = HomogeneousIdeal(3, [V(3, 0)])
+        monkeypatch.setattr(flags, "flat_limit", lambda ideal, lam: wrong)
+        code, out, err = run(capsys, "flag-limit", str(GOLDEN / "flag-limit.in"), "--check")
+        assert (code, out) == (3, "")
+        assert err == (
+            "flagstab: cross-check failed: stage 1, stratum 0: flat limit disagrees with the join\n"
+        )
+
+    @pytest.mark.parametrize("command", ["gb", "hilbert"])
+    def test_answers_past_the_int_digit_limit(self, tmp_path, capsys, command):
+        # the input is within every cap; (10^100 - 1)^64 has 6 400 digits
+        path = tmp_path / "big.txt"
+        path.write_text(f"ring x, y\nideal: (x + {'9' * 100}*y)^64\n")
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out, err = run(capsys, command, str(path))
+        assert (code, err) == (0, "")
+        assert max(map(len, re.findall(r"\d+", out))) == 6400
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
     def test_inconclusive_flag_validate(self, tmp_path, capsys):
         # no points certificate: the stability leg is inconclusive

@@ -1,6 +1,7 @@
 """Hilbert data, weighted slice weights, Chow weights and point stability."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 from operator import mul
@@ -31,7 +32,9 @@ from flagstab.poly import series_coefficient
 
 from conftest import (
     V,
+    _random_homogeneous,
     chow_weight_join,
+    chow_weight_series,
     chow_weight_single_space,
     corpus_ideals,
     small_ideals_with_weights,
@@ -204,14 +207,65 @@ class TestChowWeightNumeric:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="blockwise slice weight vanishes when dim Y >= 1 and dim P(U) >= 1",
+        reason="blockwise slice weight is 0 when two weight-space factors have positive dimension",
     )
-    def test_join_of_line_with_line(self):
-        # a line in P(W), dim W = 3, joined with P(U), dim U = 2
-        ideal = HomogeneousIdeal(5, [V(5, 4)])
-        closed = chow_weight_join(3, -2, 1, 1, 1)
-        assert closed == 2
-        assert chow_weight_numeric(ideal, OnePS((3, 3, -2, -2, -2))) == closed
+    @pytest.mark.parametrize(
+        "nvars, gens, weights, join, closed",
+        [
+            # a line in P(W), dim W = 3, joined with P(U), dim U = 2
+            (5, lambda v: [v[4]], (3, 3, -2, -2, -2), (3, -2, 1, 1, 1), 2),
+            # the quadric surface in P(W) = P(x2..x5) joined with the line P(x0, x1)
+            (6, lambda v: [v[2] * v[5] - v[3] * v[4]],
+             (2, 2, -1, -1, -1, -1), (2, -1, 2, 2, 1), -6),
+        ],
+        ids=["line-line", "surface-line"],
+    )
+    def test_join_of_two_positive_dimensional_factors(self, nvars, gens, weights, join, closed):
+        ideal = HomogeneousIdeal(nvars, gens([V(nvars, i) for i in range(nvars)]))
+        assert chow_weight_join(*join) == closed
+        assert chow_weight_numeric(ideal, OnePS(weights)) == closed
+
+    def test_closed_form_matches_the_series_form(self):
+        kinds = Counter()
+        for ideal, lam, finite in _ideals_within_weight_spaces(random.Random(1977), 600):
+            try:
+                expected = chow_weight_series(ideal, lam)
+            except PreconditionError as exc:
+                with pytest.raises(PreconditionError) as got:
+                    chow_weight_numeric(ideal, lam)
+                assert str(got.value) == str(exc)
+                continue
+            assert chow_weight_numeric(ideal, lam) == expected, (ideal, lam)
+            kinds["zero" if expected == 0 else "finite factor" if finite else "nonzero"] += 1
+        # weights with and without a finite factor, and the vanishing case
+        assert min(kinds["zero"], kinds["finite factor"], kinds["nonzero"]) >= 50, kinds
+
+
+def _ideals_within_weight_spaces(rng: random.Random, count: int):
+    """`count` nonempty fixed ideals (and the empty ones drawn on the way),
+    with sl-normalized weights: 2-3 weight spaces of 1-3 variables, at
+    shuffled positions, each free or cut by up to one form more than its
+    variables, of degree 1-3. Yields (ideal, lam, whether some space's
+    factor has finite length)."""
+    nonempty = 0
+    while nonempty < count:
+        sizes = [rng.randint(1, 3) for _ in range(rng.randint(2, 3))]
+        nvars = sum(sizes)
+        positions = rng.sample(range(nvars), nvars)
+        raw = rng.sample(range(-4, 5), len(sizes))
+        shift = sum(w * k for w, k in zip(raw, sizes))
+        weights, gens, finite = [0] * nvars, [], False
+        for w, k in zip(raw, sizes):
+            block, positions = positions[:k], positions[k:]
+            count_k = rng.randint(0, k + 1)
+            forms = [_random_homogeneous(rng, k, rng.randint(1, 3)) for _ in range(count_k)]
+            finite |= hilbert_series(HomogeneousIdeal(k, forms)).pole == 0
+            gens += [f.map_variables(dict(enumerate(block)), nvars) for f in forms]
+            for v in block:
+                weights[v] = nvars * w - shift
+        ideal = HomogeneousIdeal(nvars, gens)
+        nonempty += hilbert_series(ideal).pole > 0
+        yield ideal, OnePS(tuple(weights)), finite
 
 
 class TestClosedForms:

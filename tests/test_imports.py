@@ -78,9 +78,9 @@ def test_unused_imports():
 
 
 def test_no_unused_imports():
-    unused = {
-        p.stem: unused_imports(p.read_text()) for p in PACKAGE.glob("*.py") if p.stem != "__init__"
-    }
+    tests = Path(__file__).resolve().parent
+    sources = [p for p in PACKAGE.glob("*.py") if p.stem != "__init__"] + list(tests.glob("*.py"))
+    unused = {p.name: unused_imports(p.read_text()) for p in sources}
     assert not any(unused.values()), unused
 
 

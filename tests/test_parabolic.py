@@ -13,7 +13,6 @@ from flagstab import (
     GradedOnePS,
     HomogeneousIdeal,
     HyperplanarFlag,
-    OnePS,
     Polynomial,
     buchberger,
     configuration_unipotent_stabilizer_dim,
