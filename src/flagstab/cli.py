@@ -14,10 +14,10 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import comb
-from operator import add
 
 from . import __version__
 from .flags import (
+    FlagConfiguration,
     FlagValidationReport,
     HyperplanarFlag,
     StabilityReport,
@@ -38,6 +38,7 @@ from .geometry import (
 )
 from .groebner import buchberger, canonical_generators, gb_memo, ideal_equal
 from .hilbert import (
+    HilbertData,
     PointConfiguration,
     StabilityVerdict,
     chow_points_stability,
@@ -53,6 +54,10 @@ from .poly import (
     OnePS,
     Polynomial,
     TermOrder,
+    terms_add,
+    terms_degree,
+    terms_mul,
+    terms_pow,
     weight_order,
 )
 
@@ -60,6 +65,7 @@ from .poly import (
 # rather than left to exhaust memory in the parser or the computations.
 MAX_VARIABLES = 32
 MAX_EXPONENT = 64
+MAX_NESTING = 64  # of parentheses: each level is four frames of the recursive parser
 MAX_DEGREE = 64  # total degree of a generator and of every product in it
 MAX_TERMS = 10_000  # terms of a product, bounded before it is expanded
 MAX_POINT_WORK = 20_000  # point stability: subsets enumerated times points counted
@@ -100,21 +106,6 @@ def _integer(text: str, line: int, malformed: str) -> int:
     return int(text)
 
 
-def _terms_mul(a: dict, b: dict) -> dict:
-    """Product of two term dicts, without zero coefficients."""
-    out: dict = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            m = tuple(map(add, m1, m2))
-            out[m] = out.get(m, 0) + c1 * c2
-    return {m: c for m, c in out.items() if c}
-
-
-def _terms_degree(terms: dict) -> int:
-    """Total degree of a term dict; -1 for the empty one, as for the zero polynomial."""
-    return max(map(sum, terms), default=-1)
-
-
 def parse_polynomial(text: str, names: list[str], line: int = 1, col0: int = 1) -> Polynomial:
     """Parse an infix expression with +, -, *, ^, parentheses and
     integer/rational coefficients over the declared variables.
@@ -129,6 +120,7 @@ def parse_polynomial(text: str, names: list[str], line: int = 1, col0: int = 1) 
     # (digits, word, other character), one of them set; then the end of the text
     tokens = _TOKEN.findall(text) + [("", "", "")]
     at = 0  # the next token
+    depth = 0  # of the parentheses open at the next token
 
     def error(message: str, token: int | None = None, end: bool = False):
         """Raise at the start of a token, by default the next one, or with `end` past it."""
@@ -153,11 +145,15 @@ def parse_polynomial(text: str, names: list[str], line: int = 1, col0: int = 1) 
         return int(digits)
 
     def atom() -> dict:
-        nonlocal at
+        nonlocal at, depth
         if take("("):
+            if depth == MAX_NESTING:
+                error(f"parentheses nested deeper than {MAX_NESTING}", at - 1)
+            depth += 1
             inner = expr()
             if not take(")"):
                 error("expected ')'")
+            depth -= 1
             return inner
         digits, word, _ = tokens[at]
         if digits:
@@ -195,36 +191,23 @@ def parse_polynomial(text: str, names: list[str], line: int = 1, col0: int = 1) 
             e = integer()
             if e > MAX_EXPONENT:
                 error(f"exponent {e} exceeds the cap of {MAX_EXPONENT}", at - 1)
-            check_size(_terms_degree(base) * e, comb(len(base) + e, e))
-            power = {one: 1}
-            while e:  # square and multiply
-                if e & 1:
-                    power = _terms_mul(power, base)
-                e >>= 1
-                if e:
-                    base = _terms_mul(base, base)
-            base = power
+            check_size(terms_degree(base) * e, comb(len(base) + e, e))
+            base = terms_pow(base, e, nvars)
         return base if sign > 0 else {m: -c for m, c in base.items()}
 
     def term() -> dict:
         out = factor()
         while take("*"):
             f = factor()
-            check_size(_terms_degree(out) + _terms_degree(f), len(out) * len(f))
-            out = _terms_mul(out, f)
+            check_size(terms_degree(out) + terms_degree(f), len(out) * len(f))
+            out = terms_mul(out, f)
         return out
 
     def expr() -> dict:
         out = term()
         while (op := tokens[at][2]) in ("+", "-"):
             take(op)
-            sign = 1 if op == "+" else -1
-            for m, v in term().items():
-                v = out.get(m, 0) + sign * v
-                if v:
-                    out[m] = v
-                else:
-                    del out[m]
+            terms_add(out, term(), 1 if op == "+" else -1)
         return out
 
     result = expr()
@@ -514,15 +497,8 @@ def _flat_limit(doc: InputDocument, args) -> dict:
     return {"generators": limit}
 
 
-def _hilbert(doc: InputDocument, args) -> dict:
-    hd = hilbert_data(_ideal(doc))
-    return {
-        "dimension": hd.dimension,
-        "degree": hd.degree,
-        "stabilization_degree": hd.stabilization_degree,
-        "hilbert_polynomial": hd.coefficients,
-        "hilbert_function": hd.hilbert_function,
-    }
+def _hilbert(doc: InputDocument, args) -> HilbertData:
+    return hilbert_data(_ideal(doc))
 
 
 def _chow_weight(doc: InputDocument, args) -> dict:
@@ -549,7 +525,7 @@ def _verify_limit_join(doc: InputDocument, args) -> JoinCheckReport:
 
 def _grading_stages(doc: InputDocument, args) -> dict:
     g = _grading(doc)
-    stages = [doc.stage] if doc.stage is not None else range(1, g.ell)
+    stages = [_stage(doc, g.ell - 1)] if doc.stage is not None else range(1, g.ell)
     per_stage = {}
     for i in stages:
         sd = stage_data(g, i)
@@ -573,10 +549,9 @@ def _flag_validate(doc: InputDocument, args) -> FlagValidationReport:
     return validate_flag(_flag(doc))
 
 
-def _flag_limit(doc: InputDocument, args) -> dict:
+def _flag_limit(doc: InputDocument, args) -> FlagConfiguration:
     flag = _flag(doc)
-    limit = flag_limit(flag, _stage(doc, flag.n), _grading(doc), check=args.check)
-    return {"strata": limit.strata}
+    return flag_limit(flag, _stage(doc, flag.n), _grading(doc), check=args.check)
 
 
 def _flag_weight(doc: InputDocument, args) -> dict:

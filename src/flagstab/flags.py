@@ -90,10 +90,6 @@ class FlagConfiguration:
             raise ValueError("strata must share one ambient ring")
         object.__setattr__(self, "strata", tuple(map(canonical_generators, self.strata)))
 
-    @property
-    def n(self) -> int:
-        return len(self.strata) - 1
-
 
 @dataclass(frozen=True)
 class AdmissibilityResult:

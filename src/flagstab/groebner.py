@@ -77,7 +77,7 @@ class _Packing:
     def __init__(self, order: TermOrder, nvars: int):
         w = order.weights or (0,) * nvars
         if len(w) != nvars:
-            raise DimensionError("weight vector length mismatch")
+            raise DimensionError(f"{len(w)} weights for {nvars} variables")
         # below degree 2^32 each field is under 2^(width - 2) in size
         self.width = width = 34 + max(map(abs, w), default=0).bit_length()
         self.shifts = tuple(range(width * (nvars - 1), -1, -width))  # of the exponent fields

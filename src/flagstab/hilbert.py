@@ -170,7 +170,7 @@ def hilbert_series(ideal: HomogeneousIdeal) -> HilbertSeries:
 @dataclass(frozen=True)
 class HilbertData:
     hilbert_function: dict[int, int]
-    coefficients: tuple[Fraction, ...]  # Hilbert polynomial, ascending powers
+    hilbert_polynomial: tuple[Fraction, ...]  # coefficients, ascending powers
     stabilization_degree: int
     dimension: int
     degree: int

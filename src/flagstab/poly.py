@@ -63,6 +63,48 @@ def series_coefficient(q: list[int], d: int, m: int) -> int:
     return sum(c * comb(m - k + d - 1, d - 1) for k, c in enumerate(q[: m + 1]))
 
 
+# A term dict maps monomials to nonzero ints or Fractions: the CLI's parser
+# computes on them, and `Polynomial` on its primitive integer part.
+
+
+def terms_add(out: dict, b: dict, c=1) -> dict:
+    """out + c*b, computed in place in `out`, which is returned."""
+    for m, v in b.items():
+        v = out.get(m, 0) + c * v
+        if v:
+            out[m] = v
+        else:
+            del out[m]
+    return out
+
+
+def terms_mul(a: dict, b: dict) -> dict:
+    """The product of two term dicts, in a fresh dict."""
+    out: dict = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(map(add, m1, m2))
+            out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def terms_pow(base: dict, k: int, nvars: int) -> dict:
+    """base^k in nvars variables by square and multiply; no square after the last bit."""
+    out = {(0,) * nvars: 1}
+    while k:
+        if k & 1:
+            out = terms_mul(out, base)
+        k >>= 1
+        if k:
+            base = terms_mul(base, base)
+    return out
+
+
+def terms_degree(terms: dict) -> int:
+    """Total degree; -1 for the empty term dict, the zero polynomial's."""
+    return max(map(sum, terms), default=-1)
+
+
 @dataclass(frozen=True)
 class OnePS:
     """Integer weight vector, one weight per variable."""
@@ -104,7 +146,7 @@ class TermOrder:
 
     def key(self, m: Monomial):
         if self.weights is not None and len(self.weights) != len(m):
-            raise DimensionError("weight vector length mismatch")
+            raise DimensionError(f"{len(self.weights)} weights for {len(m)} variables")
         if self.weights is None:
             return (sum(m), 0, m)
         return (sum(m), -sum(a * r for a, r in zip(m, self.weights)), m)
@@ -195,7 +237,7 @@ class Polynomial:
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        return max(map(sum, self.ints), default=-1)
+        return terms_degree(self.ints)
 
     @property
     def is_homogeneous(self) -> bool:
@@ -223,13 +265,7 @@ class Polynomial:
             return other
         den = lcm(self.den, other.den)
         a, b = self.num * (den // self.den), other.num * (den // other.den)
-        ints = {m: a * c for m, c in self.ints.items()}
-        for m, c in other.ints.items():
-            v = ints.get(m, 0) + b * c
-            if v:
-                ints[m] = v
-            else:
-                del ints[m]
+        ints = terms_add({m: a * c for m, c in self.ints.items()}, other.ints, b)
         return Polynomial.from_ints(self.nvars, ints, 1, den)
 
     __radd__ = __add__
@@ -253,12 +289,7 @@ class Polynomial:
             h = gcd(num, den)
             return Polynomial._canonical(self.nvars, ints, num // h, den // h)
         self._check(other)
-        ints: dict[Monomial, int] = {}
-        for m1, c1 in self.ints.items():
-            for m2, c2 in other.ints.items():
-                m = tuple(map(add, m1, m2))
-                ints[m] = ints.get(m, 0) + c1 * c2
-        ints = {m: c for m, c in ints.items() if c}
+        ints = terms_mul(self.ints, other.ints)
         if not ints:
             return Polynomial.zero(self.nvars)
         # a product of primitive parts is primitive (Gauss's lemma)
@@ -271,15 +302,12 @@ class Polynomial:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        out = Polynomial.constant(self.nvars, 1)
-        base = self
-        while k:  # square and multiply; no square after the last bit
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
+        ints = terms_pow(self.ints, k, self.nvars)
+        if not ints:
+            return Polynomial.zero(self.nvars)
+        # a power of a primitive part is primitive (Gauss's lemma), and
+        # num^k/den^k is in lowest terms as num/den is
+        return Polynomial._canonical(self.nvars, ints, self.num**k, self.den**k)
 
     def __eq__(self, other):
         return (

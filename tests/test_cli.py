@@ -36,6 +36,7 @@ from flagstab.cli import (
     COMMANDS,
     MAX_DEGREE,
     MAX_EXPONENT,
+    MAX_NESTING,
     MAX_POINT_WORK,
     MAX_TERMS,
     MAX_VARIABLES,
@@ -80,6 +81,14 @@ class TestParsePolynomial:
             parse_polynomial("x*w", ["x", "y"], line=3)
         assert err.value.line == 3
         assert "undeclared" in str(err.value)
+
+    def test_nesting_at_the_cap(self):
+        x = V(2, 0)
+        assert parse_polynomial("(" * MAX_NESTING + "x" + ")" * MAX_NESTING, ["x", "y"]) == x
+        odd = "-(" * (MAX_NESTING - 1) + "x" + ")" * (MAX_NESTING - 1)
+        assert parse_polynomial(odd, ["x", "y"]) == -x
+        # the depth is that of the open parentheses, not their number
+        assert parse_polynomial(" + ".join(["((x))"] * 100), ["x", "y"]) == 100 * x
 
 
 # Random expression trees over x, y, z: a leaf is a variable name or a
@@ -205,6 +214,19 @@ PARSE_ERRORS = [
     ("²*x", 2, 1, 1, "line 1, column 1: expected a number, variable or '('"),
     # an integer has at most 4300 digits, the most `int` reads from a string
     ("x + " + "7" * 5000, 2, 1, 1, "line 1, column 5: an integer of more than 4300 digits"),
+    # parentheses nest at most 64 deep, with or without a sign before each
+    # "(": at the cap the parser reads on to the missing last ")", past it
+    # it stops at the first "(" too deep
+    ("(" * 64 + "x" + ")" * 63, 2, 1, 1, "line 1, column 129: expected ')'"),
+    ("-(" * 64 + "x" + ")" * 63, 2, 1, 1, "line 1, column 193: expected ')'"),
+    (
+        "(" * 65 + "x" + ")" * 65, 2, 1, 1,
+        "line 1, column 65: parentheses nested deeper than 64",
+    ),
+    (
+        "-(" * 65 + "x" + ")" * 65, 2, 1, 1,
+        "line 1, column 130: parentheses nested deeper than 64",
+    ),
 ]
 
 
@@ -257,6 +279,17 @@ def test_parse_error_text(text, nvars, line, col0, message):
             "ring x\n\nideal: x - " + "3" * 5000 + "*x\n",
             "line 3, column 12: an integer of more than 4300 digits",
         ),
+        ("ring\n", "line 1, column 1: empty ring declaration"),
+        ("ring: , \n", "line 1, column 1: empty ring declaration"),
+        ("ring x, y, x\n", "line 1, column 1: repeated variable name"),
+        ("ring x\nideal x\n", "line 2, column 1: expected 'key: value', got 'ideal x'"),
+        ("command: frobnicate\n", "line 1, column 1: unknown command 'frobnicate'"),
+        ("ab: 1, 2, 3\n", "line 1, column 1: ab needs exactly two integers"),
+        ("points: ; ()\n", "line 1, column 1: empty point list"),
+        ("flag: n=1 d 4\n", "line 1, column 1: flag parameter 'd' needs '='"),
+        ("flag: n=1 e=4\n", "line 1, column 1: unknown flag parameter 'e'"),
+        ("points: (1/2/3, 1)\n", "line 1, column 1: malformed rational '1/2/3'"),
+        ("points: (1, 0); (1/0, 1)\n", "line 1, column 1: malformed rational '1/0'"),
     ],
     ids=_short_id,
 )
@@ -494,7 +527,7 @@ class TestExitCodes:
         path.write_text("ring x, y, z\ncommand: flat-limit\nideal: x*y\nweights: 1, 1\n")
         code, _, err = run(capsys, "flat-limit", str(path))
         assert code == 1
-        assert "error" in err
+        assert err == "flagstab: error: 2 weights for 3 variables\n"
 
     def test_input_error_on_inhomogeneous_generator(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
@@ -625,6 +658,52 @@ class TestExitCodes:
             main(["--help"])
         assert exc.value.code == 0
         assert "usage: flagstab" in capsys.readouterr().out
+
+    def test_grading_stage_out_of_range(self, tmp_path, capsys):
+        # worded as by the flag commands
+        path = tmp_path / "grading.txt"
+        path.write_text("beta: 2, -1\nmults: 1, 2\nstage: 2\n")
+        assert run(capsys, "grading", str(path)) == (
+            1, "", "flagstab: error: stage must be between 1 and 1\n"
+        )
+
+    @pytest.mark.parametrize("command", ["gb", "hilbert", "chow-weight"])
+    def test_weights_of_the_wrong_length(self, tmp_path, capsys, command):
+        # worded as by flat-limit, whether the handler, the Groebner
+        # packing or the output order finds the mismatch
+        path = tmp_path / "conic.txt"
+        path.write_text("ring x, y, z\nideal: x*z - y^2\nweights: 2, -1\n")
+        assert run(capsys, command, str(path)) == (
+            1, "", "flagstab: error: 2 weights for 3 variables\n"
+        )
+
+    def test_stray_weights_are_not_validated(self, tmp_path, capsys):
+        path = tmp_path / "points.txt"
+        path.write_text("points: (1, 0); (0, 1); (1, 1)\nweights: 1, 2, 3\n")
+        code, _, err = run(capsys, "chow-points", str(path))
+        assert (code, err) == (0, "")
+
+    def test_no_command_given(self, tmp_path, capsys):
+        path = tmp_path / "conic.txt"
+        path.write_text("ring x, y, z\nideal: x*z - y^2\n")
+        assert run(capsys, "batch", str(path)) == (
+            1, "", f"flagstab: error: {path}: no command given and none declared in the document\n"
+        )
+
+    def test_one_file_per_command(self, tmp_path, capsys):
+        path = tmp_path / "conic.txt"
+        path.write_text(CONIC_DOC)
+        assert run(capsys, "flat-limit", str(path), str(path)) == (
+            1, "", "flagstab: error: exactly one input file expected (use batch for several)\n"
+        )
+
+    def test_deep_nesting_in_batch_is_an_input_error(self, tmp_path, capsys):
+        good, deep = tmp_path / "good.txt", tmp_path / "deep.txt"
+        good.write_text(CONIC_DOC)
+        deep.write_text("ring x\ncommand: gb\nideal: " + "-(" * 300 + "x" + ")" * 300 + "\n")
+        assert run(capsys, "batch", str(good), str(deep)) == (
+            1, "", "flagstab: error: line 3, column 137: parentheses nested deeper than 64\n"
+        )
 
     def test_flag_check_stage_out_of_range(self, tmp_path, capsys):
         # the stage range is checked before the grading and the flag limit

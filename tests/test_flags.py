@@ -105,6 +105,23 @@ class TestValidateFlag:
         assert report.points_reduced is False
         assert report.ok is False
 
+    def test_surface_given_as_curve_flag(self):
+        # x0^5 + x1^5 + x2^5 + v1^5 with n = 1: X^0 is the plane quintic
+        # curve, not points, so the points are refused without being read
+        x0, x1, x2, v1 = (V(4, i) for i in range(4))
+        flag = HyperplanarFlag(
+            1,
+            4,
+            HomogeneousIdeal(4, [x0**5 + x1**5 + x2**5 + v1**5]),
+            PointConfiguration.from_coords([(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+        )
+        report = validate_flag(flag)
+        assert report.hilbert_type[0] == (Fraction(-5), Fraction(5))  # 5m - 5
+        assert report.dimensions_ok is False
+        assert report.points_reduced is False
+        assert report.point_stability is None
+        assert report.ok is False
+
     def test_degenerate_stratum_fails_nondegeneracy(self):
         flag = HyperplanarFlag(1, 3, HomogeneousIdeal(3, [V(3, 0)]))
         report = validate_flag(flag)

@@ -61,14 +61,14 @@ class TestHilbertFunction:
 class TestHilbertData:
     def test_twisted_cubic(self):
         hd = hilbert_data(twisted_cubic())
-        assert hd.coefficients == (Fraction(1), Fraction(3))  # 3t + 1
+        assert hd.hilbert_polynomial == (Fraction(1), Fraction(3))  # 3t + 1
         assert hd.dimension == 1
         assert hd.degree == 3
 
     def test_full_ring(self):
         hd = hilbert_data(HomogeneousIdeal(3, []))
         # binom(t+2, 2) = 1 + 3t/2 + t^2/2
-        assert hd.coefficients == (Fraction(1), Fraction(3, 2), Fraction(1, 2))
+        assert hd.hilbert_polynomial == (Fraction(1), Fraction(3, 2), Fraction(1, 2))
         assert hd.dimension == 2
         assert hd.degree == 1
 
@@ -77,20 +77,20 @@ class TestHilbertData:
             3, [V(3, 0) * V(3, 1) - V(3, 0) * V(3, 2), V(3, 0) * V(3, 2) - V(3, 1) * V(3, 2)]
         )
         hd = hilbert_data(four)
-        assert hd.coefficients == (Fraction(4),)
+        assert hd.hilbert_polynomial == (Fraction(4),)
         assert hd.dimension == 0
         assert hd.degree == 4
 
     def test_function_matches_polynomial_past_stabilization(self):
         hd = hilbert_data(CONIC)
         for m in range(hd.stabilization_degree, hd.stabilization_degree + 4):
-            assert hilbert_function(CONIC, m) == eval_poly(hd.coefficients, m)
+            assert hilbert_function(CONIC, m) == eval_poly(hd.hilbert_polynomial, m)
 
     def test_complete_intersection_in_p4(self):
         # a hyperplane and a quadric: a quadric surface, HP = (m + 1)^2
         ideal = dict(corpus_ideals())["random-ci-4"]
         hd = hilbert_data(ideal)
-        assert hd.coefficients == (Fraction(1), Fraction(2), Fraction(1))
+        assert hd.hilbert_polynomial == (Fraction(1), Fraction(2), Fraction(1))
         assert (hd.dimension, hd.degree, hd.stabilization_degree) == (2, 2, 0)
         for m in range(5):
             assert hd.hilbert_function[m] == hilbert_function(ideal, m)
@@ -99,7 +99,7 @@ class TestHilbertData:
         x = [V(5, i) for i in range(5)]
         minors = [x[i] * x[j + 1] - x[j] * x[i + 1] for i, j in combinations(range(4), 2)]
         hd = hilbert_data(HomogeneousIdeal(5, minors))
-        assert hd.coefficients == (Fraction(1), Fraction(4))  # 4m + 1
+        assert hd.hilbert_polynomial == (Fraction(1), Fraction(4))  # 4m + 1
         assert (hd.dimension, hd.degree, hd.stabilization_degree) == (1, 4, 0)
         assert hd.hilbert_function[3] == 13
 
@@ -112,9 +112,9 @@ class TestHilbertData:
                 if m in hd.hilbert_function:
                     assert hd.hilbert_function[m] == hf, (name, m)
                 if m >= stab:
-                    assert eval_poly(hd.coefficients, m) == hf, (name, m)
+                    assert eval_poly(hd.hilbert_polynomial, m) == hf, (name, m)
             if stab:
-                assert hd.hilbert_function[stab - 1] != eval_poly(hd.coefficients, stab - 1), name
+                assert hd.hilbert_function[stab - 1] != eval_poly(hd.hilbert_polynomial, stab - 1), name
 
     def test_series_holds_what_the_data_reads(self):
         ideals = [ideal for _, ideal in corpus_ideals()]
@@ -124,7 +124,7 @@ class TestHilbertData:
         for ideal in ideals:
             hs, hd = hilbert_series(ideal), hilbert_data(ideal)
             assert (hs.dimension, hs.degree) == (hd.dimension, hd.degree), ideal
-            assert hs.polynomial() == hd.coefficients, ideal
+            assert hs.polynomial() == hd.hilbert_polynomial, ideal
             # from stabilization on the window is the polynomial's value
             for m, value in hd.hilbert_function.items():
                 assert value == series_coefficient(*hs, m), (ideal, m)

@@ -20,7 +20,7 @@ from flagstab import (
     monomials_of_degree,
     weight_order,
 )
-from flagstab import groebner
+from flagstab import groebner, poly
 
 from conftest import V, compare
 
@@ -138,22 +138,46 @@ def test_homogeneity_closure(c1, c2):
 @pytest.mark.parametrize("k, products", [(0, 0), (1, 1), (2, 2), (5, 4), (32, 6), (33, 7)])
 def test_power_by_squaring(monkeypatch, k, products):
     """f**k squares once per bit after the first and multiplies once per
-    set bit, with no square past the highest bit: f**32 never builds f**64."""
+    set bit, with no square past the highest bit: f**32 never builds f**64.
+    It counts the term-dict products that the parser shares."""
     f = V(2, 0) + 2 * V(2, 1)
     expected = Polynomial.constant(2, 1)
     for _ in range(k):
         expected = expected * f
     count = 0
-    multiply = Polynomial.__mul__
+    multiply = poly.terms_mul
 
-    def counted(self, other):
+    def counted(a, b):
         nonlocal count
         count += 1
-        return multiply(self, other)
+        return multiply(a, b)
 
-    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    monkeypatch.setattr(poly, "terms_mul", counted)
     assert f**k == expected
     assert count == products
+
+
+@pytest.mark.parametrize("k", range(10))
+def test_power_of_a_rational_polynomial(k):
+    """(x/2 + 3y/4)^k takes the power of the primitive part 2x + 3y and
+    the content (1/4)^k: it equals k repeated products and is canonical."""
+    f = Fraction(1, 2) * V(2, 0) + Fraction(3, 4) * V(2, 1)
+    expected = Polynomial.constant(2, 1)
+    for _ in range(k):
+        expected = expected * f
+    power = f**k
+    assert power == expected
+    assert power == Polynomial(2, power.terms)  # canonical, as a fresh build is
+    assert (power.num, power.den) == (1, 4**k)
+    assert gcd(*power.ints.values()) == 1
+
+
+def test_powers_of_zero():
+    zero = Polynomial.zero(3)
+    assert zero**0 == Polynomial.constant(3, 1)
+    for k in (1, 2, 7):
+        assert zero**k == zero
+        assert (zero**k).is_zero
 
 
 @settings(deadline=None, max_examples=100)
