@@ -10,10 +10,8 @@ from .poly import (
     Monomial,
     OnePS,
     Polynomial,
-    TermOrder,
     initial_part,
     monomials_of_degree,
-    weight_order,
 )
 from .groebner import (
     GroebnerBasis,

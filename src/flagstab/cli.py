@@ -48,17 +48,14 @@ from .hilbert import (
 )
 from .parabolic import GradedOnePS, stage_data
 from .poly import (
-    GRLEX,
     DimensionError,
     HomogeneousIdeal,
     OnePS,
     Polynomial,
-    TermOrder,
     terms_add,
     terms_degree,
     terms_mul,
     terms_pow,
-    weight_order,
 )
 
 # Caps on input size: past them an input is refused as an input error
@@ -282,9 +279,12 @@ def parse_document(text: str) -> InputDocument:
             col = len(raw) - len(after.lstrip()) + 1  # the body's first column
             for gen_text in body.split(";"):
                 if gen_text.strip():
-                    doc.ideal_gens.append(
-                        parse_polynomial(gen_text, doc.names, lineno, col)
-                    )
+                    g = parse_polynomial(gen_text, doc.names, lineno, col)
+                    if not g.is_homogeneous:
+                        start = col + len(gen_text) - len(gen_text.lstrip())
+                        message = f"non-homogeneous generator '{gen_text.strip()}'"
+                        raise ParseError(message, lineno, start)
+                    doc.ideal_gens.append(g)
                 col += len(gen_text) + 1
         elif key == "weights":
             doc.weights = _ints(body, lineno)
@@ -352,7 +352,7 @@ def fmt_q(x) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
-def _plain(value, names: list[str], order: TermOrder):
+def _plain(value, names: list[str], order: OnePS):
     """`value` in JSON types: a Fraction as `fmt_q`, a polynomial as its
     string, a tuple as a list, dict keys as strings, an ideal as its
     generators sorted under `order` and a dataclass as the dict of its
@@ -373,10 +373,8 @@ def _plain(value, names: list[str], order: TermOrder):
     return _plain({f.name: getattr(value, f.name) for f in fields(value)}, names, order)
 
 
-def _doc_order(doc: InputDocument) -> TermOrder:
-    if doc.weights is not None:
-        return weight_order(OnePS(tuple(doc.weights)))
-    return GRLEX
+def _doc_order(doc: InputDocument) -> OnePS:
+    return OnePS(tuple(doc.weights or ()))  # GRLEX without a `weights:` section
 
 
 def _json(value, indent: str = "\n") -> str:

@@ -24,6 +24,13 @@ from .parabolic import GradedOnePS, configuration_unipotent_stabilizer_dim, stag
 from .poly import HomogeneousIdeal, OnePS, Polynomial
 
 
+def _check_length(n: int, dim_v: int) -> None:
+    if n < 1:
+        raise ValueError("flag length must be at least 1")
+    if n + 1 >= dim_v:
+        raise ValueError("requires n + 1 < dim V")
+
+
 @dataclass(frozen=True)
 class HyperplanarFlag:
     """Chain X^0 subset ... subset X^n cut from X^n by coordinate
@@ -35,10 +42,7 @@ class HyperplanarFlag:
     points0: PointConfiguration | None = None
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("flag length must be at least 1")
-        if self.n + 1 >= self.dim_v:
-            raise ValueError("requires n + 1 < dim V")
+        _check_length(self.n, self.dim_v)
         if self.top_ideal.nvars != self.dim_v:
             raise ValueError("top ideal must live in dim V variables")
         if self.points0 is not None and self.points0.dim_w != self.dim_v - self.n:
@@ -101,10 +105,7 @@ class AdmissibilityResult:
 def degree_admissible(n: int, d: int, dim_v: int) -> AdmissibilityResult:
     """d must exceed dim V - n and avoid the finitely many ratios
     (dim V - n - 1 + i)/(n + 1 - i) for i = 1..n."""
-    if n < 1:
-        raise ValueError("flag length must be at least 1")
-    if dim_v < n + 2:
-        raise ValueError("requires dim V >= n + 2")
+    _check_length(n, dim_v)
     excluded = tuple(
         sorted({Fraction(dim_v - n - 1 + i, n + 1 - i) for i in range(1, n + 1)})
     )

@@ -28,7 +28,6 @@ from .poly import (
     OnePS,
     Polynomial,
     initial_part,
-    weight_order,
 )
 
 
@@ -62,7 +61,7 @@ def flat_limit(ideal: HomogeneousIdeal, lam: OnePS) -> HomogeneousIdeal:
     1996, Prop. 1.13). Each initial part keeps its element's leading
     term, and its other terms are terms of a reduced basis element.
     """
-    gb = buchberger(ideal, weight_order(lam))
+    gb = buchberger(ideal, lam)
     return HomogeneousIdeal(ideal.nvars, [initial_part(g, lam) for g in gb.basis])
 
 

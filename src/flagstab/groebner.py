@@ -34,15 +34,15 @@ from .poly import (
     DimensionError,
     HomogeneousIdeal,
     Monomial,
+    OnePS,
     Polynomial,
-    TermOrder,
     monomial_lcm,
     monomials_of_degree,
     series_coefficient,
 )
 
 
-def normal_form(f: Polynomial, basis, order: TermOrder = GRLEX) -> Polynomial:
+def normal_form(f: Polynomial, basis, order: OnePS = GRLEX) -> Polynomial:
     """Remainder of f on full division by the basis.
 
     No term of the result is divisible by any basis leading monomial,
@@ -51,7 +51,7 @@ def normal_form(f: Polynomial, basis, order: TermOrder = GRLEX) -> Polynomial:
     return normal_forms([f], basis, order)[0]
 
 
-def normal_forms(fs, basis, order: TermOrder = GRLEX) -> list[Polynomial]:
+def normal_forms(fs, basis, order: OnePS = GRLEX) -> list[Polynomial]:
     """`normal_form` of each polynomial in fs, with the basis turned into
     integer divisors once for all of them. The packing bound is checked on
     the inputs only, as division under a graded order never raises a degree."""
@@ -74,7 +74,7 @@ class _Packing:
 
     BOUND = 1 << 32  # of the total degree; below it the packing is exact
 
-    def __init__(self, order: TermOrder, nvars: int):
+    def __init__(self, order: OnePS, nvars: int):
         w = order.weights or (0,) * nvars
         if len(w) != nvars:
             raise DimensionError(f"{len(w)} weights for {nvars} variables")
@@ -160,7 +160,7 @@ def _divide(work: dict[int, int], divisors: list, mask: int) -> tuple[dict, int]
 @dataclass(frozen=True)
 class GroebnerBasis:
     basis: tuple[Polynomial, ...]
-    order: TermOrder
+    order: OnePS
 
     def leading_monomials(self) -> list[Monomial]:
         return [max(g.ints, key=self.order.key) for g in self.basis]
@@ -181,7 +181,7 @@ def gb_memo():
         _MEMO.reset(token)
 
 
-def buchberger(ideal: HomogeneousIdeal, order: TermOrder = GRLEX) -> GroebnerBasis:
+def buchberger(ideal: HomogeneousIdeal, order: OnePS = GRLEX) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal under the given order, looked
     up in the active `gb_memo()` block, if any, before it is computed."""
     memo = _MEMO.get()
@@ -193,7 +193,7 @@ def buchberger(ideal: HomogeneousIdeal, order: TermOrder = GRLEX) -> GroebnerBas
     return gb
 
 
-def _buchberger(ideal: HomogeneousIdeal, order: TermOrder) -> GroebnerBasis:
+def _buchberger(ideal: HomogeneousIdeal, order: OnePS) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal under the given order.
 
     Pairs are pruned by the Gebauer-Moeller criteria ("On an installation
@@ -383,7 +383,7 @@ def eliminate(ideal: HomogeneousIdeal, keep) -> HomogeneousIdeal:
     weights = tuple(0 if i in keep else -1 for i in range(ideal.nvars))
     if not any(weights):
         return ideal
-    gb = buchberger(ideal, TermOrder(weights))
+    gb = buchberger(ideal, OnePS(weights))
     gens = [g for g in gb.basis if g.variables_used() <= keep]
     return HomogeneousIdeal(ideal.nvars, gens)
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb, gcd, lcm, prod
-from operator import add
+from operator import add, mul
 
 Monomial = tuple[int, ...]
 
@@ -107,7 +107,16 @@ def terms_degree(terms: dict) -> int:
 
 @dataclass(frozen=True)
 class OnePS:
-    """Integer weight vector, one weight per variable."""
+    """Integer weight vector, one weight per variable, and the term order
+    it refines; the leading term is the maximum.
+
+    The comparison key is (degree, -weight, exponents) compared
+    lexicographically, so within a fixed degree the *minimal-weight*
+    terms are the largest, and ties break on the first differing
+    exponent (larger exponent wins). The empty vector gives every
+    monomial weight 0: that order, `GRLEX`, is plain graded lex. Every
+    order is graded, so division never raises a term's degree.
+    """
 
     weights: tuple[int, ...]
 
@@ -123,40 +132,15 @@ class OnePS:
         return sum(self.weights) == 0
 
     def weight(self, m: Monomial) -> int:
-        if len(m) != len(self.weights):
-            raise DimensionError(
-                f"monomial length {len(m)} != weight vector length {len(self.weights)}"
-            )
-        return sum(a * r for a, r in zip(m, self.weights))
-
-
-@dataclass(frozen=True)
-class TermOrder:
-    """Total multiplicative monomial order; the leading term is the maximum.
-
-    The comparison key is (degree, -weight, exponents) compared
-    lexicographically, so within a fixed degree the *minimal-weight*
-    terms are the largest, and ties break on the first differing
-    exponent (larger exponent wins). With `weights=None` this is plain
-    graded lex. Every order is graded, so division never raises a
-    term's degree.
-    """
-
-    weights: tuple[int, ...] | None = None
+        if self.weights and len(m) != len(self.weights):
+            raise DimensionError(f"{len(self.weights)} weights for {len(m)} variables")
+        return sum(map(mul, m, self.weights))
 
     def key(self, m: Monomial):
-        if self.weights is not None and len(self.weights) != len(m):
-            raise DimensionError(f"{len(self.weights)} weights for {len(m)} variables")
-        if self.weights is None:
-            return (sum(m), 0, m)
-        return (sum(m), -sum(a * r for a, r in zip(m, self.weights)), m)
+        return (sum(m), -self.weight(m), m)
 
 
-GRLEX = TermOrder()
-
-
-def weight_order(lam: OnePS) -> TermOrder:
-    return TermOrder(weights=lam.weights)
+GRLEX = OnePS(())
 
 
 class Polynomial:
@@ -324,7 +308,7 @@ class Polynomial:
 
     # -- structure -----------------------------------------------------
 
-    def monic(self, order: TermOrder = GRLEX) -> "Polynomial":
+    def monic(self, order: OnePS = GRLEX) -> "Polynomial":
         if not self.ints:
             return self
         return self._monic(max(self.ints, key=order.key))
@@ -381,7 +365,7 @@ class Polynomial:
         )
         return Fraction(total * self.num, self.den * q**top)
 
-    def to_str(self, names=None, order: TermOrder = GRLEX) -> str:
+    def to_str(self, names=None, order: OnePS = GRLEX) -> str:
         if not self.ints:
             return "0"
         if names is None:

@@ -23,10 +23,8 @@ from flagstab import (
     OnePS,
     Polynomial,
     PreconditionError,
-    TermOrder,
     buchberger,
     monomials_of_degree,
-    weight_order,
 )
 from flagstab.flags import HyperplanarFlag
 from flagstab.geometry import Splitting
@@ -35,6 +33,7 @@ from flagstab.hilbert import (
     PointConfiguration,
     _add,
     _cancel,
+    _minimalize,
     _numerator,
     _scale,
     _trim,
@@ -73,7 +72,7 @@ def monomial_div(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def compare(a: Monomial, b: Monomial, order: TermOrder = GRLEX) -> int:
+def compare(a: Monomial, b: Monomial, order: OnePS = GRLEX) -> int:
     """-1, 0 or 1 as a is below, equal to or above b in the order."""
     if len(a) != len(b):
         raise DimensionError("monomials of different length")
@@ -81,7 +80,7 @@ def compare(a: Monomial, b: Monomial, order: TermOrder = GRLEX) -> int:
     return (ka > kb) - (ka < kb)
 
 
-def s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder = GRLEX) -> Polynomial:
+def s_polynomial(f: Polynomial, g: Polynomial, order: OnePS = GRLEX) -> Polynomial:
     """S-polynomial of f and g with respect to their leading terms."""
     if f.is_zero or g.is_zero:
         raise ValueError("S-polynomial of a zero polynomial")
@@ -119,7 +118,7 @@ def weighted_slice_weight(ideal: HomogeneousIdeal, lam: OnePS, m: int) -> int:
         raise ValueError("weight vector length mismatch")
     if m < 0:
         raise ValueError("degree must be nonnegative")
-    leads = buchberger(ideal, weight_order(lam)).leading_monomials()
+    leads = buchberger(ideal, lam).leading_monomials()
     total = 0
     for mono in monomials_of_degree(ideal.nvars, m):
         if not any(monomial_divides(l, mono) for l in leads):
@@ -225,6 +224,41 @@ def chow_weight_series(ideal: HomogeneousIdeal, lam: OnePS) -> Fraction:
     # the pole order is at most n+2, and below it the weight is 0
     q, d = _cancel(total, ideal.nvars + len(factors))
     return Fraction(sum(q)) if d == n + 2 else Fraction(0)
+
+
+def mumford_weight(ideal: HomogeneousIdeal, lam: OnePS) -> int:
+    """Mumford's Chow weight of X under lam ("Stability of projective
+    varieties", 1977, section 2): -(n+1)! times the coefficient of m^(n+1)
+    in `weighted_slice_weight`, n = dim X. It is read off the leads of the
+    weight-order basis, so X need not be lam-fixed; it is then the weight
+    of X's flat limit (Bayer and Morrison, J. Symbolic Comput. 6, 1988).
+
+    Give x_i the bidegree (1, w_i). The numerator K(t, s) of the bigraded
+    Hilbert series obeys K(M + (m)) = K(M) - t^deg(m) s^w(m) K(M : m), so
+    A = K(t, 1) and B = dK/ds(t, 1) obey
+    B(M + (m)) = B(M) - t^deg(m) (w(m) A(M : m) + B(M : m)). As the weights
+    sum to 0, the weight sum of the degree-m standard monomials is the
+    coefficient of t^m in B/(1-t)^N; with B cancelled to q_B/(1-t)^(n+2)
+    the weight is q_B(1), and below that pole order it is 0.
+    """
+    memo: dict = {}
+
+    def kernel(gens):
+        if not gens:
+            return [1], []
+        if gens not in memo:
+            m, rest = gens[-1], gens[:-1]
+            colon = _minimalize(tuple(max(a - b, 0) for a, b in zip(g, m)) for g in rest)
+            (a, b), (ac, bc), d = kernel(rest), kernel(colon), sum(m)
+            shifted = _add(_scale(ac, lam.weight(m)), bc)
+            memo[gens] = _add(a, _scale(ac, -1, d)), _add(b, _scale(shifted, -1, d))
+        return memo[gens]
+
+    if not lam.sl_normalized:
+        raise PreconditionError("weight vector must sum to zero")
+    a, b = kernel(_minimalize(buchberger(ideal, lam).leading_monomials()))
+    q, pole = _cancel(b, ideal.nvars)
+    return sum(q) if pole == _cancel(a, ideal.nvars)[1] + 1 else 0
 
 
 def join_ideal(ideal_y: HomogeneousIdeal, split: Splitting) -> HomogeneousIdeal:

@@ -256,6 +256,12 @@ def test_parse_error_text(text, nvars, line, col0, message):
         ("ring x\nideal: )\n", "line 2, column 8: expected a number, variable or '('"),
         ("ring x\nideal: a\n", "line 2, column 8: undeclared variable 'a'"),
         ("ring x\nideal:    a\n", "line 2, column 11: undeclared variable 'a'"),
+        # a generator that is not homogeneous is quoted at its first column
+        ("ring a, b\nideal: a^2 + b\n", "line 2, column 8: non-homogeneous generator 'a^2 + b'"),
+        (
+            "ring a, b\nideal: a*b;  a^2 + b\n",
+            "line 2, column 14: non-homogeneous generator 'a^2 + b'",
+        ),
         ("stage: 1, 7\n", "line 1, column 1: stage needs exactly one integer"),
         (
             "flag: n=1 d=4 a0=5 a0=7\n",
@@ -675,6 +681,22 @@ class TestExitCodes:
         path.write_text("ring x, y, z\nideal: x*z - y^2\nweights: 2, -1\n")
         assert run(capsys, command, str(path)) == (
             1, "", "flagstab: error: 2 weights for 3 variables\n"
+        )
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("admissible", "flag: n=1 d=3 dimv=2\n"),
+            ("flag-check", "ring x, y, v1\nideal: x^2 + y^2 + v1^2\nflag: n=2\n"),
+            ("flag-weight", "flag: n=1 d=3 a0=5\nbeta: 1, -1\nmults: 1, 1\nstage: 1\n"),
+        ],
+    )
+    def test_flag_too_long_for_its_ring(self, tmp_path, capsys, command, text):
+        # worded as in the README, whichever command finds it
+        path = tmp_path / "flag.txt"
+        path.write_text(text)
+        assert run(capsys, command, str(path)) == (
+            1, "", "flagstab: error: requires n + 1 < dim V\n"
         )
 
     def test_stray_weights_are_not_validated(self, tmp_path, capsys):

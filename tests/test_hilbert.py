@@ -4,6 +4,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb
 from operator import mul
 
 import pytest
@@ -37,10 +38,12 @@ from conftest import (
     chow_weight_series,
     chow_weight_single_space,
     corpus_ideals,
+    mumford_weight,
     small_ideals_with_weights,
     twisted_cubic,
     weighted_slice_weight,
 )
+from test_acceptance import _join_instances, _single_space_instances
 
 
 CONIC = HomogeneousIdeal(3, [V(3, 0) * V(3, 2) - V(3, 1) ** 2])
@@ -239,6 +242,63 @@ class TestChowWeightNumeric:
             kinds["zero" if expected == 0 else "finite factor" if finite else "nonzero"] += 1
         # weights with and without a finite factor, and the vanishing case
         assert min(kinds["zero"], kinds["finite factor"], kinds["nonzero"]) >= 50, kinds
+
+
+
+def _weight_by_differences(ideal: HomogeneousIdeal, lam: OnePS, start: int = 12) -> int:
+    """Minus the (n+1)-th finite difference of `weighted_slice_weight` in m
+    from `start` on, n = dim X: -(n+1)! times its coefficient of m^(n+1)."""
+    k = hilbert_series(ideal).dimension + 1
+    values = [weighted_slice_weight(ideal, lam, start + j) for j in range(k + 1)]
+    return -sum((-1) ** (k - j) * comb(k, j) * v for j, v in enumerate(values))
+
+
+class TestMumfordWeight:
+    """The test-only kernel `mumford_weight` against finite differences of
+    the slice weight, and against `chow_weight_numeric` where they agree."""
+
+    def test_positive_dimensional_joins_read_two(self):
+        # the strict xfail's line-line and surface-line joins
+        v5, v6 = [V(5, i) for i in range(5)], [V(6, i) for i in range(6)]
+        for ideal, weights in [
+            (HomogeneousIdeal(5, [v5[4]]), (3, 3, -2, -2, -2)),
+            (HomogeneousIdeal(6, [v6[2] * v6[5] - v6[3] * v6[4]]), (2, 2, -1, -1, -1, -1)),
+        ]:
+            lam = OnePS(weights)
+            assert mumford_weight(ideal, lam) == _weight_by_differences(ideal, lam) == 2
+            assert chow_weight_numeric(ideal, lam) == 0
+
+    def test_conic_in_one_weight_space(self):
+        u, a, b, c = (V(4, i) for i in range(4))
+        ideal = HomogeneousIdeal(4, [u, a**2 + b**2 - c**2 + 2 * u * a])
+        lam = OnePS((3, -1, -1, -1))
+        assert mumford_weight(ideal, lam) == _weight_by_differences(ideal, lam) == -4
+        assert chow_weight_numeric(ideal, lam) == -4
+
+    def test_criterion_3_instances(self):
+        for ideal, weights, *_ in _single_space_instances():
+            lam = OnePS(weights)
+            assert mumford_weight(ideal, lam) == chow_weight_numeric(ideal, lam), (ideal, lam)
+
+    def test_criterion_4_joins(self):
+        # Mumford's weight of a join is d*(a*(u + 1) + b*(y + 1))
+        for ideal, weights, (a, b, d, y, u), _ in _join_instances():
+            lam = OnePS(weights)
+            expected = d * (a * (u + 1) + b * (y + 1))
+            assert mumford_weight(ideal, lam) == _weight_by_differences(ideal, lam) == expected
+
+    def test_ideals_not_fixed_by_the_weights(self):
+        rng, unfixed = random.Random(1988), 0
+        for _ in range(40):
+            gens = [_random_homogeneous(rng, 4, 2) for _ in range(rng.randint(1, 2))]
+            ideal = HomogeneousIdeal(4, gens)
+            head = [rng.randint(-3, 3) for _ in range(3)]
+            lam = OnePS((*head, -sum(head)))
+            limit = flat_limit(ideal, lam)
+            unfixed += not ideal_equal(limit, ideal)
+            weight = mumford_weight(ideal, lam)
+            assert weight == mumford_weight(limit, lam) == _weight_by_differences(ideal, lam)
+        assert unfixed == 40
 
 
 def _ideals_within_weight_spaces(rng: random.Random, count: int):

@@ -18,7 +18,6 @@ from flagstab import (
     gb_memo,
     initial_part,
     monomials_of_degree,
-    weight_order,
 )
 from flagstab import groebner, poly
 
@@ -40,8 +39,15 @@ class TestMonomialWeight:
         assert OnePS((5, -7)).weight((0, 0)) == 0
 
     def test_length_mismatch(self):
-        with pytest.raises(DimensionError):
-            W211.weight((1, 0))
+        # worded alike by the weight and the order key
+        for method in (W211.weight, W211.key):
+            with pytest.raises(DimensionError, match="^3 weights for 2 variables$"):
+                method((1, 0))
+
+    def test_empty_vector_is_graded_lex(self):
+        assert GRLEX == OnePS(())
+        assert GRLEX.weight((4, 0, 1)) == 0
+        assert GRLEX.key((4, 0, 1)) == (5, 0, (4, 0, 1))
 
 
 class TestCompare:
@@ -51,12 +57,12 @@ class TestCompare:
 
     def test_weight_descending_within_degree(self):
         # xz (weight 1) vs y^2 (weight -2): minimal weight is order-maximal
-        ordw = weight_order(W211)
+        ordw = W211
         assert compare((1, 0, 1), (0, 2, 0), ordw) < 0
         assert compare((0, 2, 0), (1, 0, 1), ordw) > 0
 
     def test_zero_weights_fall_back_to_exponents(self):
-        ordw = weight_order(OnePS((0, 0, 0)))
+        ordw = OnePS((0, 0, 0))
         assert compare((1, 0, 1), (0, 2, 0), ordw) > 0
 
     def test_equal(self):
@@ -92,7 +98,7 @@ weights3 = st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3))
 @settings(deadline=None, max_examples=200)
 @given(a=monomials3, b=monomials3, c=monomials3, w=weights3)
 def test_order_multiplicative(a, b, c, w):
-    order = weight_order(OnePS(w))
+    order = OnePS(w)
     ac = tuple(x + y for x, y in zip(a, c))
     bc = tuple(x + y for x, y in zip(b, c))
     assert compare(a, b, order) == compare(ac, bc, order)
@@ -101,7 +107,7 @@ def test_order_multiplicative(a, b, c, w):
 @settings(deadline=None, max_examples=200)
 @given(a=monomials3, b=monomials3, w=weights3)
 def test_order_total_and_antisymmetric(a, b, w):
-    order = weight_order(OnePS(w))
+    order = OnePS(w)
     s = compare(a, b, order)
     assert s in (-1, 0, 1)
     assert s == -compare(b, a, order)
@@ -255,7 +261,7 @@ rationals = st.one_of(
     st.integers(-40, 40), st.fractions(min_value=-40, max_value=40, max_denominator=12)
 ).filter(bool)
 polys3 = st.dictionaries(monomials3, rationals, max_size=5)
-orders3 = st.one_of(st.just(GRLEX), weights3.map(lambda w: weight_order(OnePS(w))))
+orders3 = st.one_of(st.just(GRLEX), weights3.map(OnePS))
 
 
 def _ref(terms: dict) -> dict:
