@@ -48,7 +48,6 @@ from .hilbert import (
 )
 from .parabolic import GradedOnePS, stage_data
 from .poly import (
-    DimensionError,
     HomogeneousIdeal,
     OnePS,
     Polynomial,
@@ -246,13 +245,24 @@ def _fraction(text: str, line: int) -> Fraction:
 
 
 def parse_document(text: str) -> InputDocument:
+    """The document's sections. Each appears at most once, but `ideal:`
+    and `flag:` lines accumulate."""
     doc = InputDocument()
+    seen = set()  # the sections read so far
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:
             continue
         if stripped.partition(":")[0].split()[:1] == ["ring"]:  # the first word is "ring"
-            body = stripped[4:].lstrip().removeprefix(":")
+            key, body = "ring", stripped[4:].lstrip().removeprefix(":")
+        elif ":" not in stripped:
+            raise ParseError(f"expected 'key: value', got '{stripped}'", lineno, 1)
+        else:
+            key, body = (s.strip() for s in stripped.split(":", 1))
+        if key in seen and key not in ("ideal", "flag"):
+            raise ParseError(f"repeated section '{key}'", lineno, 1)
+        seen.add(key)
+        if key == "ring":
             names = [n.strip() for n in body.split(",") if n.strip()]
             if not names:
                 raise ParseError("empty ring declaration", lineno, 1)
@@ -264,11 +274,7 @@ def parse_document(text: str) -> InputDocument:
             if len(names) > MAX_VARIABLES:
                 raise ParseError(f"more than {MAX_VARIABLES} variables", lineno, 1)
             doc.names = names
-            continue
-        if ":" not in stripped:
-            raise ParseError(f"expected 'key: value', got '{stripped}'", lineno, 1)
-        key, body = (s.strip() for s in stripped.split(":", 1))
-        if key == "command":
+        elif key == "command":
             if body not in COMMANDS:
                 raise ParseError(f"unknown command '{body}'", lineno, 1)
             doc.command = body
@@ -448,6 +454,7 @@ def _splitting(doc: InputDocument) -> Splitting:
     index = {n: i for i, n in enumerate(doc.names)}
     for n in doc.usplit:
         _require(n in index, f"undeclared variable '{n}' in usplit")
+    _require(len(set(doc.usplit)) == len(doc.usplit), "repeated variable name in usplit")
     u = tuple(sorted(index[n] for n in doc.usplit))
     w = tuple(i for i in range(len(doc.names)) if i not in u)
     return Splitting(len(doc.names), u, w)
@@ -689,7 +696,7 @@ def main(argv=None) -> int:
     except LimitMismatch as exc:
         print(f"flagstab: cross-check failed: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, ValueError, DimensionError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"flagstab: error: {exc}", file=sys.stderr)
         return 1
     finally:

@@ -75,11 +75,14 @@ def flat_limit_oracle(
 ) -> HomogeneousIdeal:
     """Groebner-free degreewise ground truth for flat_limit.
 
-    For each degree, row-reduces I_d with columns sorted by ascending
-    weight; the initial parts of the fully reduced rows span the
-    degree-d slice of the initial ideal. The degrees 0, ..., B have
-    sum_d C(N + d - 1, d) = C(N + B, B) columns in N variables, refused
-    with a `ValueError` past `MAX_ORACLE_COLUMNS`.
+    For each degree d, row-reduces I_d to echelon form with columns
+    sorted by (weight, graded-lex key). A row's pivot is its smallest
+    column, so it has the row's minimal weight and lies in the row's
+    initial part; the initial parts therefore have distinct leading
+    columns and are independent. There are rank = dim I_d = dim in(I)_d
+    of them, so they span the degree-d slice of the initial ideal. The
+    degrees 0, ..., B have sum_d C(N + d - 1, d) = C(N + B, B) columns
+    in N variables, refused with a `ValueError` past `MAX_ORACLE_COLUMNS`.
     """
     if degree_bound < ideal.max_generator_degree():
         raise ValueError("degree bound below the maximum generator degree")
@@ -93,7 +96,7 @@ def flat_limit_oracle(
         columns = degree_columns(ideal.nvars, d, colkey=colkey)
         by_index = {i: m for m, i in columns.items()}
         _, ech = degree_echelon(ideal, d, columns=columns)
-        for row in ech.reduced_rows():
+        for row in ech.pivots.values():
             poly = Polynomial(ideal.nvars, {by_index[c]: v for c, v in row.items()})
             gens.append(initial_part(poly, lam))
     return HomogeneousIdeal(ideal.nvars, gens)

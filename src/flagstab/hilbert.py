@@ -121,24 +121,6 @@ def _cancel(num: list[int], pole: int) -> tuple[list[int], int]:
     return num, pole if num else 0
 
 
-def _eventual_polynomial(q: list[int], d: int) -> tuple[list[int], int]:
-    """(E, k) with E/k the polynomial in m equal to series_coefficient(q, d, m)
-    for m >= len(q) - d: E is the sum of q_k * (m - k + 1)...(m - k + d - 1)
-    in ascending powers of m, with integer coefficients, and k = (d - 1)!."""
-    total = [0] * max(d, 1)
-    for k, c in enumerate(q if d else ()):
-        term = [c]
-        for j in range(1, d):  # times (m - k + j)
-            term = [
-                (term[i - 1] if i else 0) + (j - k) * (term[i] if i < len(term) else 0)
-                for i in range(len(term) + 1)
-            ]
-        total = [a + b for a, b in zip(total, term)]
-    while len(total) > 1 and total[-1] == 0:
-        total.pop()
-    return total, factorial(max(d - 1, 0))
-
-
 class HilbertSeries(NamedTuple):
     """HS(S/I) = numerator(t)/(1-t)^pole with every (1-t) factor cancelled."""
 
@@ -155,9 +137,19 @@ class HilbertSeries(NamedTuple):
         return sum(self.numerator) if self.pole else 0
 
     def polynomial(self) -> tuple[Fraction, ...]:
-        """The Hilbert polynomial, ascending powers."""
-        e, k = _eventual_polynomial(*self)
-        return tuple(Fraction(c, k) for c in e)
+        """The Hilbert polynomial, ascending powers: the polynomial in m
+        equal to series_coefficient(q, d, m) for m >= len(q) - d, that is
+        the sum of q_k * (m - k + 1)...(m - k + d - 1) over (d - 1)!. With
+        no (1-t) factor left, its top coefficient q(1)/(d - 1)! is nonzero."""
+        q, d = self
+        total = [0] * max(d, 1)
+        for k, c in enumerate(q if d else ()):
+            term = [c]
+            for j in range(1, d):  # times (m - k + j)
+                term = [a + (j - k) * b for a, b in zip([0, *term], [*term, 0])]
+            total = [a + b for a, b in zip(total, term)]
+        den = factorial(max(d - 1, 0))
+        return tuple(Fraction(c, den) for c in total)
 
 
 def hilbert_series(ideal: HomogeneousIdeal) -> HilbertSeries:
@@ -182,26 +174,19 @@ def hilbert_data(ideal: HomogeneousIdeal) -> HilbertData:
     window of degrees reaching past stabilization."""
     series = hilbert_series(ideal)
     q, d = series
-    e, k = _eventual_polynomial(q, d)
-    stab = next(
-        (
-            m + 1
-            for m in range(len(q) - d - 1, -1, -1)
-            if k * series_coefficient(q, d, m) != eval_poly(e, m)
-        ),
-        0,
-    )
+    hp = series.polynomial()
+    differs = lambda m: series_coefficient(q, d, m) != eval_poly(hp, m)
+    stab = next((m + 1 for m in reversed(range(len(q) - d)) if differs(m)), 0)
     # the reported window: from a generator-degree bound (or just below
     # stabilization) to 3*nvars + 1 past the first step start + k*nvars
-    # at or beyond stabilization; from stabilization on, HF(m) = E(m)/k
+    # at or beyond stabilization
     n = ideal.nvars
     gen_degs = [g.degree() for g in ideal.generators]
     start = max(sum(gen_degs), 2 * max(gen_degs, default=0), 1)
     s = start + max(0, -((start - stab) // n)) * n
     window = range(min(start, max(stab - 1, 0)), s + 3 * n + 2)
-    hf = {m: series_coefficient(q, d, m) if m < stab else eval_poly(e, m) // k for m in window}
-    coeffs = tuple(Fraction(c, k) for c in e)
-    return HilbertData(hf, coeffs, stab, series.dimension, series.degree)
+    hf = {m: series_coefficient(q, d, m) for m in window}
+    return HilbertData(hf, hp, stab, series.dimension, series.degree)
 
 
 # -- Chow weights ------------------------------------------------------

@@ -16,20 +16,15 @@ Row = dict[int, int]
 def row_from_fractions(entries: dict[int, Fraction]) -> Row:
     """Clear denominators and remove common factors."""
     entries = {c: Fraction(v) for c, v in entries.items() if v != 0}
-    if not entries:
-        return {}
     mult = lcm(*(v.denominator for v in entries.values()))
-    row = {c: int(v * mult) for c, v in entries.items()}
-    return normalize_row(row)
+    return normalize_row({c: int(v * mult) for c, v in entries.items()})
 
 
 def normalize_row(row: Row) -> Row:
     row = {c: v for c, v in row.items() if v != 0}
     if not row:
         return {}
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
+    g = gcd(*row.values())
     if row[min(row)] < 0:
         g = -g
     if g != 1:
@@ -88,20 +83,9 @@ class Echelon:
     def contains(self, row: Row) -> bool:
         return not self.reduce(row)
 
-    def reduced_rows(self) -> list[Row]:
-        """Fully reduced (RREF-shaped) rows, ordered by pivot column."""
-        cols = sorted(self.pivots)
-        rows = {c: dict(self.pivots[c]) for c in cols}
-        for c in reversed(cols):
-            piv = rows[c]
-            for c2 in cols:
-                if c2 < c and c in rows[c2]:
-                    rows[c2] = _combine(rows[c2], piv, c)
-        return [rows[c] for c in cols]
-
 
 def rank_of_rows(rows: list[dict[int, Fraction]] | list[Row]) -> int:
     ech = Echelon()
     for row in rows:
-        ech.insert(row_from_fractions({c: Fraction(v) for c, v in row.items()}))
+        ech.insert(row_from_fractions(row))
     return ech.rank

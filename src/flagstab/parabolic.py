@@ -70,9 +70,7 @@ class GradedOnePS:
         tail = [-j * m1 for j in range(2, len(mults) + 1)]
         head = -sum(t * m for t, m in zip(tail, mults[1:])) // m1
         weights = [head] + tail
-        g = 0
-        for w in weights:
-            g = gcd(g, w)
+        g = gcd(*weights)
         weights = [w // g for w in weights]
         return cls(tuple(weights), mults)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations_with_replacement
 from math import comb, gcd, lcm, prod
 from operator import add, mul
 
@@ -39,20 +39,11 @@ def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
 @lru_cache(maxsize=256)
 def monomials_of_degree(nvars: int, d: int) -> tuple[Monomial, ...]:
     """All degree-d monomials in nvars variables, lexicographically sorted
-    (descending). Cached, so the result is an immutable tuple."""
-    if nvars == 0:
-        return ((),) if d == 0 else ()
-    out = []
-    for bars in combinations(range(d + nvars - 1), nvars - 1):
-        exps = []
-        prev = -1
-        for b in bars:
-            exps.append(b - prev - 1)
-            prev = b
-        exps.append(d + nvars - 2 - prev)
-        out.append(tuple(exps))
-    out.sort(reverse=True)
-    return tuple(out)
+    (descending): the multisets of d variable indices, in lex order, are
+    their exponent vectors in that order. Cached, so the result is an
+    immutable tuple."""
+    multisets = combinations_with_replacement(range(nvars), d)
+    return tuple(tuple(map(c.count, range(nvars))) for c in multisets)
 
 
 def series_coefficient(q: list[int], d: int, m: int) -> int:

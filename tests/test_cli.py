@@ -296,6 +296,19 @@ def test_parse_error_text(text, nvars, line, col0, message):
         ("flag: n=1 e=4\n", "line 1, column 1: unknown flag parameter 'e'"),
         ("points: (1/2/3, 1)\n", "line 1, column 1: malformed rational '1/2/3'"),
         ("points: (1, 0); (1/0, 1)\n", "line 1, column 1: malformed rational '1/0'"),
+        # a section appears once: a second one is refused, not read over the first
+        (
+            "ring x, y, z\nideal: x*z - y^2\nweights: 2, -1, -1\nweights: -1, -1, 2\n",
+            "line 4, column 1: repeated section 'weights'",
+        ),
+        ("ring x, y\nideal: x^2\nring a, b, c\n", "line 3, column 1: repeated section 'ring'"),
+        ("command: gb\ncommand: hilbert\n", "line 2, column 1: repeated section 'command'"),
+        ("usplit: x\nusplit: y\n", "line 2, column 1: repeated section 'usplit'"),
+        ("ab: 1, 2\nab: 1, 2\n", "line 2, column 1: repeated section 'ab'"),
+        ("points: (1, 0)\n\npoints: (0, 1)\n", "line 3, column 1: repeated section 'points'"),
+        ("beta: 1, -1\nbeta: 1, -1\n", "line 2, column 1: repeated section 'beta'"),
+        ("mults: 1, 1\nmults: 1, 1\n", "line 2, column 1: repeated section 'mults'"),
+        ("stage: 1\nstage: 1\n", "line 2, column 1: repeated section 'stage'"),
     ],
     ids=_short_id,
 )
@@ -342,6 +355,11 @@ class TestParseDocument:
     def test_ideal_before_ring(self):
         with pytest.raises(ParseError):
             parse_document("ideal: x\n")
+
+    def test_ideal_and_flag_lines_accumulate(self):
+        doc = parse_document("ring x, y\nideal: x^2\nflag: n=1\nideal: y^2; x*y\nflag: d=4\n")
+        assert len(doc.ideal_gens) == 3
+        assert doc.flag_params == {"n": 1, "d": 4}
 
 
 class TestInputCaps:
@@ -547,6 +565,17 @@ class TestExitCodes:
         code, _, err = run(capsys, "gb", str(path))
         assert code == 1
         assert "undeclared" in err
+
+    @pytest.mark.parametrize(
+        "usplit, message",
+        [("x, q", "undeclared variable 'q' in usplit"), ("x, x", "repeated variable name in usplit")],
+    )
+    def test_usplit_names(self, tmp_path, capsys, usplit, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"ring x, y, u\nideal: y^2\nusplit: {usplit}\n")
+        code, out, err = run(capsys, "join", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"flagstab: error: {message}\n"
 
     def test_missing_file(self, capsys):
         code, _, _ = run(capsys, "gb", "/nonexistent/nope.txt")

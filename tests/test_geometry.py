@@ -36,6 +36,8 @@ from flagstab.geometry import (
     _jacobian_minors,
     projection_dominant,
 )
+from flagstab.groebner import degree_columns, poly_to_row
+from flagstab.linalg import rank_of_rows
 from flagstab.cli import parse_document
 
 from conftest import (
@@ -110,6 +112,20 @@ class TestFlatLimitOracle:
         ideal = HomogeneousIdeal(3, [V(3, 0)])
         for w in [(2, -1, -1), (1, 0, -1)]:
             assert ideal_equal(flat_limit_oracle(ideal, OnePS(w), 3), ideal)
+
+    def test_each_degree_is_a_basis_of_the_initial_slice(self):
+        # one initial part per echelon pivot, all independent: degree d
+        # gives dim I_d generators of rank dim I_d
+        for name, ideal, lam in corpus_pairs():
+            bound = ideal.max_generator_degree() + 1
+            oracle = flat_limit_oracle(ideal, lam, bound)
+            for d in range(bound + 1):
+                gens = [g for g in oracle.generators if g.degree() == d]
+                dim = degree_dimension(ideal, d)
+                assert len(gens) == dim, (name, d)
+                columns = degree_columns(ideal.nvars, d)
+                rows = [poly_to_row(g, columns) for g in gens]
+                assert rank_of_rows(rows) == dim, (name, d)
 
     def test_column_cap(self, monkeypatch):
         # sum over d <= 20 of C(8 + d - 1, d) = C(28, 20) columns, refused

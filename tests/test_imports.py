@@ -1,8 +1,10 @@
-"""The modules of flagstab import one another without a cycle, and every
-name the benchmark harness binds resolves."""
+"""The modules of flagstab import one another without a cycle and
+nothing outside the standard library, and every name the benchmark
+harness binds resolves."""
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import flagstab
@@ -87,6 +89,32 @@ def test_no_unused_imports():
 def test_no_import_cycle():
     cycle = find_cycle(relative_imports())
     assert cycle is None, " -> ".join(cycle)
+
+
+def absolute_imports(source: str) -> set[str]:
+    """The top-level packages of the module's absolute imports, function-level
+    ones included."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+def test_absolute_imports():
+    source = "import os.path\nfrom . import a\nfrom json import dumps\ndef f():\n    import sympy\n"
+    assert absolute_imports(source) == {"os", "json", "sympy"}
+
+
+def test_runtime_is_stdlib_only():
+    """The tests run with sympy and hypothesis installed; the package must not need them."""
+    outside = {
+        p.name: sorted(absolute_imports(p.read_text()) - sys.stdlib_module_names)
+        for p in PACKAGE.glob("*.py")
+    }
+    assert not any(outside.values()), outside
 
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import gcd, prod
+from math import comb, gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +25,20 @@ from conftest import V, compare
 
 
 W211 = OnePS((2, -1, -1))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_monomials_of_degree(n):
+    for d in range(8):
+        monos = monomials_of_degree(n, d)
+        assert len(monos) == comb(n + d - 1, d)
+        assert all(a > b for a, b in zip(monos, monos[1:]))  # strictly descending lex
+        assert all(len(m) == n and min(m) >= 0 and sum(m) == d for m in monos)
+
+
+def test_monomials_of_degree_in_no_variables():
+    assert monomials_of_degree(0, 0) == ((),)
+    assert all(monomials_of_degree(0, d) == () for d in range(1, 8))
 
 
 class TestMonomialWeight:
